@@ -29,8 +29,15 @@ class Decomposition:
 
 
 def split(inst):
-    """Decompose along the pre-selected set; linear time."""
+    """Decompose along the pre-selected set.
+
+    Each part's edges come from its members' adjacency plus the edges
+    between pre-selected vertices on its border. The work is linear in
+    the instance apart from those X-to-X edges, which are looked at once
+    for each part whose border holds one of their ends.
+    """
     x_set = inst.pre_selected
+    x_adj = {x: [w for w in inst.adj[x] if w in x_set] for x in x_set}
     comp = [-1] * inst.n
     components = []
     for root in range(inst.n):
@@ -56,8 +63,10 @@ def split(inst):
                          if w in x_set})
         vertices = sorted(members + border)
         to_sub = {v: i for i, v in enumerate(vertices)}
-        edges = [(to_sub[u], to_sub[v]) for u, v in inst.edges
-                 if u in to_sub and v in to_sub]
+        edges = [(to_sub[v], to_sub[w]) for v in members
+                 for w in inst.adj[v] if v < w or w in x_set]
+        edges += [(to_sub[x], to_sub[w]) for x in border
+                  for w in x_adj[x] if x < w and w in to_sub]
         sub = PdsInstance(
             len(vertices), edges,
             propagating=[inst.propagating[v] for v in vertices],

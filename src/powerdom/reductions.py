@@ -4,7 +4,16 @@ Each rule either shrinks the graph or decides a vertex (pre-select or
 exclude) while preserving the optimum of the extension instance. The
 driver runs a DFS post-order pass of the cheap degree rules, then
 alternates exhaustive local rounds with the two observation-neighborhood
-rules until nothing fires.
+rules until nothing fires. The local round restarts from the first rule
+in `LOCAL_RULES` order after every fire, so the firing sequence is a
+function of the rule order and the vertex ids.
+
+Every fire is checked. A rule other than ObsE must strictly decrease the
+measure alive + undecided + edges + propagating vertices, whose terms
+the work state's mutations keep up to date, so the check is O(1). ObsE
+must strictly decrease the number of edges between observed vertices
+that are not pre-selected; that count is taken only where its guard
+holds.
 
 "Observed" in rule guards always means observed by the pre-selected set
 alone.
@@ -12,6 +21,7 @@ alone.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,7 +94,13 @@ class ReductionLog:
 
 
 class _Work:
-    """Mutable reduction state over original vertex ids."""
+    """Mutable reduction state over original vertex ids.
+
+    The mutation methods below are the only writers of the graph and the
+    markings. Next to `alive_count` they keep three counters over the
+    alive vertices: `undecided_count`, `edge_count` (real insertions and
+    removals only) and `propagating_count`, so `measure()` costs O(1).
+    """
 
     def __init__(self, inst):
         self.inst = inst
@@ -92,12 +108,15 @@ class _Work:
         self.alive = [True] * inst.n
         self.alive_count = inst.n
         self.adj = [set(inst.adj[v]) for v in range(inst.n)]
+        self.edge_count = inst.m
         self.propagating = list(inst.propagating)
+        self.propagating_count = sum(self.propagating)
         self.status = [UND] * inst.n
         for v in inst.pre_selected:
             self.status[v] = PRE
         for v in inst.excluded:
             self.status[v] = EXC
+        self.undecided_count = self.status.count(UND)
         self._obs = None
 
     # mutations ------------------------------------------------------------
@@ -105,26 +124,35 @@ class _Work:
     def delete(self, v):
         for w in list(self.adj[v]):
             self.adj[w].discard(v)
+        self.edge_count -= len(self.adj[v])
         self.adj[v].clear()
         self.alive[v] = False
         self.alive_count -= 1
+        self.undecided_count -= self.status[v] == UND
+        self.propagating_count -= self.propagating[v]
         self._obs = None
 
     def add_edge(self, u, v):
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        if v not in self.adj[u]:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+            self.edge_count += 1
         self._obs = None
 
     def remove_edge(self, u, v):
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+        if v in self.adj[u]:
+            self.adj[u].discard(v)
+            self.adj[v].discard(u)
+            self.edge_count -= 1
         self._obs = None
 
     def set_status(self, v, status):
+        self.undecided_count += (status == UND) - (self.status[v] == UND)
         self.status[v] = status
         self._obs = None
 
     def set_nonpropagating(self, v):
+        self.propagating_count -= self.propagating[v]
         self.propagating[v] = False
         self._obs = None
 
@@ -140,17 +168,9 @@ class _Work:
         return [v for v in range(self.n)
                 if self.alive[v] and self.status[v] == UND]
 
-    def pre_selected(self):
-        return [v for v in range(self.n)
-                if self.alive[v] and self.status[v] == PRE]
-
     def edge_list(self):
         return sorted((u, v) for u in range(self.n) if self.alive[u]
                       for v in self.adj[u] if u < v)
-
-    def edge_count(self):
-        return sum(len(self.adj[v]) for v in range(self.n)
-                   if self.alive[v]) // 2
 
     def observed(self):
         """Fixpoint of the observation rules for the current pre-selected set."""
@@ -188,8 +208,8 @@ class _Work:
         return self._obs
 
     def measure(self):
-        return (self.alive_count + len(self.undecided()) + self.edge_count()
-                + sum(1 for v in self.vertices() if self.propagating[v]))
+        return (self.alive_count + self.undecided_count + self.edge_count
+                + self.propagating_count)
 
     def observed_pair_count(self):
         obs = self.observed()
@@ -371,19 +391,24 @@ def _obsnp(work, v):
                           edges_removed=removed)
 
 
-def _obse(work, site):
+def _obse_holds(work, site):
+    """ObsE guard; mutates nothing."""
     v, w = site
     if not (work.alive[v] and work.alive[w]) or w not in work.adj[v]:
-        return None
+        return False
     if work.status[v] == PRE or work.status[w] == PRE:
-        return None
-    pre = work.pre_selected()
-    if not pre:
-        return None
+        return False
+    # Only the pre-selected set observes, so observed endpoints imply that
+    # a pre-selected vertex exists.
     obs = work.observed()
-    if v not in obs or w not in obs:
-        return None
-    x = pre[0]
+    return v in obs and w in obs
+
+
+def _obse_apply(work, site):
+    """Rewire an edge whose guard holds to the smallest pre-selected id."""
+    v, w = site
+    x = next(u for u in range(work.n)
+             if work.alive[u] and work.status[u] == PRE)
     added = []
     work.remove_edge(v, w)
     for end in (v, w):
@@ -392,6 +417,10 @@ def _obse(work, site):
             added.append(tuple(sorted((end, x))))
     return ReductionEvent(RuleId.OBSE, (v, w), edges_added=tuple(added),
                           edges_removed=(tuple(sorted((v, w))),))
+
+
+def _obse(work, site):
+    return _obse_apply(work, site) if _obse_holds(work, site) else None
 
 
 _LOCAL_APPLY = {
@@ -496,11 +525,16 @@ def applicable_sites(inst, rule):
 
 
 class _Driver:
-    def __init__(self, inst, rules):
+    def __init__(self, inst, rules, deadline=None):
         self.work = _Work(inst)
         self.rules = frozenset(rules)
+        self.deadline = deadline
         self.events = []
         self.budget = 8 * (inst.n + inst.m + 2) ** 2 + 64
+
+    def _expired(self):
+        return (self.deadline is not None
+                and time.perf_counter() > self.deadline)
 
     def _record(self, event):
         self.events.append(event)
@@ -510,19 +544,30 @@ class _Driver:
                 "a rule is likely cycling")
 
     def _apply_checked(self, fn, site):
+        if fn is _obse:
+            return self._apply_obse(site)
         work = self.work
         before = work.measure()
-        pairs_before = (work.observed_pair_count()
-                        if fn is _obse else None)
         event = fn(work, site)
         if event is None:
             return False
-        if fn is _obse:
-            if work.observed_pair_count() >= pairs_before:
-                raise AssertionError("ObsE did not reduce observed pairs")
-        elif work.measure() >= before:
+        if work.measure() >= before:
             raise AssertionError(
                 f"{event.rule.value} did not decrease the reduction measure")
+        self._record(event)
+        return True
+
+    def _apply_obse(self, site):
+        # ObsE may add as many edges as it removes, so its progress is
+        # checked on the observed pairs, which cost O(m log m) to count:
+        # they are counted only where the guard holds.
+        work = self.work
+        if not _obse_holds(work, site):
+            return False
+        pairs_before = work.observed_pair_count()
+        event = _obse_apply(work, site)
+        if work.observed_pair_count() >= pairs_before:
+            raise AssertionError("ObsE did not reduce observed pairs")
         self._record(event)
         return True
 
@@ -567,7 +612,7 @@ class _Driver:
             return False
         fired_any = False
         progress = True
-        while progress:
+        while progress and not self._expired():
             progress = False
             for rule in enabled:
                 fn = _LOCAL_APPLY[rule]
@@ -629,12 +674,13 @@ class _Driver:
         return fired
 
     def run(self):
+        """Reduce to a fixpoint, or until the deadline passes."""
         self.dfs_pass()
-        while True:
+        while not self._expired():
             changed = self.local_round()
-            if RuleId.DOM in self.rules:
+            if RuleId.DOM in self.rules and not self._expired():
                 changed |= self.dom_pass()
-            if RuleId.NECN in self.rules:
+            if RuleId.NECN in self.rules and not self._expired():
                 changed |= self.necn_pass()
             if not changed:
                 break
@@ -663,18 +709,21 @@ def apply_nonlocal(inst, rule):
     return kernel, log
 
 
-def reduce_full(inst, rules=None):
+def reduce_full(inst, rules=None, deadline=None):
     """Full preprocessing: DFS pass, then {local, Dom, NecN} to fixpoint.
 
     `rules` may be a RuleId iterable or one of the named subsets
     ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none').
-    Returns (kernel, log, stats).
+    `deadline` is a `time.perf_counter()` value. It is checked between
+    the passes and at each restart of the local round; once it has
+    passed, the kernel reached so far is returned. That kernel is still
+    safe, because every applied event is. Returns (kernel, log, stats).
     """
     if rules is None:
         rules = RULE_SUBSETS["all"]
     elif isinstance(rules, str):
         rules = RULE_SUBSETS[rules]
-    driver = _Driver(inst, rules)
+    driver = _Driver(inst, rules, deadline)
     driver.run()
     kernel, to_original = driver.work.snapshot()
     log = ReductionLog(inst, driver.events, to_original)

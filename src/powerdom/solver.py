@@ -222,7 +222,7 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
     `reductions` names a rule subset ('all', 'local', 'nonlocal',
     'local+dom', 'local+necn', 'none'). Deterministic for a fixed seed
     when no timeout occurs; subinstances are solved largest-first with a
-    shared deadline.
+    shared deadline, which also cuts the reduction short.
     """
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit is not None else None
@@ -233,7 +233,7 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
 
     if reductions not in RULE_SUBSETS:
         raise ValueError(f"unknown reduction subset {reductions!r}")
-    kernel, log, stats = reduce_full(inst, reductions)
+    kernel, log, stats = reduce_full(inst, reductions, deadline=deadline)
 
     def result(status, solution, gamma, lower, upper, forts, solves):
         return SolveResult(status, solution, gamma, lower, upper, forts,

@@ -37,6 +37,22 @@ def disjoint_stars(count, leaves=3):
     return PdsInstance(count * step, edges)
 
 
+def gridlike_graph(n, seed):
+    """Grid-like graph of the ROADMAP baseline: a random tree where vertex v
+    hangs off one of the 30 ids below it, n // 3 chords between vertices
+    less than 60 ids apart, and 30% of the vertices non-propagating."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(max(0, v - 30), v), v) for v in range(1, n)}
+    target = len(edges) + n // 3
+    while len(edges) < target:
+        u = rng.randrange(n)
+        v = rng.randrange(max(0, u - 59), min(n, u + 60))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    propagating = [rng.random() >= 0.3 for _ in range(n)]
+    return PdsInstance(n, sorted(edges), propagating)
+
+
 def random_instance(seed, n_max=12, m_max=20, fracs=(0.0, 0.5, 1.0),
                     x_max=2, y_max=2, n_min=1):
     """Random extension instance; pure function of the seed."""

@@ -78,3 +78,24 @@ def test_merge_matches_direct_optimum():
             continue
         merged = merge_solutions(decomp, parts)
         assert direct == len(merged) == total
+
+
+def test_split_parts_match_edge_rescan(small_corpus):
+    # Reference: each part built by scanning every edge of the parent.
+    # The triangle has an edge between two border vertices of one part.
+    triangle = PdsInstance(3, [(0, 1), (0, 2), (1, 2)], pre_selected=[0, 1])
+    for inst in [triangle] + [inst for inst, _ in small_corpus]:
+        for part in split(inst).parts:
+            vertices = part.to_parent
+            to_sub = {v: i for i, v in enumerate(vertices)}
+            expected = PdsInstance(
+                len(vertices),
+                [(to_sub[u], to_sub[v]) for u, v in inst.edges
+                 if u in to_sub and v in to_sub],
+                propagating=[inst.propagating[v] for v in vertices],
+                pre_selected=[to_sub[v] for v in vertices
+                              if v in inst.pre_selected],
+                excluded=[to_sub[v] for v in vertices if v in inst.excluded],
+                labels={to_sub[v]: inst.labels[v]
+                        for v in vertices if v in inst.labels})
+            assert part.instance == expected

@@ -1,8 +1,9 @@
 import pytest
 
-from powerdom import (LOCAL_RULES, PdsInstance, RuleId, applicable_sites,
-                      apply_local_exhaustive, apply_nonlocal, apply_rule_once,
-                      lift_solution, oracle_pds, reduce_full)
+from powerdom import (LOCAL_RULES, Circuit, PdsInstance, RuleId,
+                      applicable_sites, apply_local_exhaustive, apply_nonlocal,
+                      apply_rule_once, full_chain_detailed, lift_solution,
+                      oracle_pds, reduce_full, reductions)
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 
@@ -254,3 +255,62 @@ def test_rule_pattern_generators_fire():
             res = apply_rule_once(inst, rule, site)
             assert res.changed, f"{rule.value} guard failed at seed {seed}"
             assert oracle_gamma(res.instance) == oracle_gamma(inst)
+
+
+# --- invariant checks on every fire -----------------------------------------
+
+
+def _recount(work):
+    alive = [v for v in range(work.n) if work.alive[v]]
+    return (len(alive),
+            sum(1 for v in alive if work.status[v] == reductions.UND),
+            sum(len(work.adj[v]) for v in alive) // 2,
+            sum(1 for v in alive if work.propagating[v]))
+
+
+def test_maintained_measure_matches_recount(small_corpus, monkeypatch):
+    record = reductions._Driver._record
+    checked = []
+
+    def checking_record(self, event):
+        record(self, event)
+        work = self.work
+        terms = (work.alive_count, work.undecided_count, work.edge_count,
+                 work.propagating_count)
+        assert terms == _recount(work), event
+        assert work.measure() == sum(terms)
+        checked.append(event.rule)
+
+    monkeypatch.setattr(reductions._Driver, "_record", checking_record)
+    for inst, _ in small_corpus:
+        reduce_full(inst)
+    or1 = Circuit([("x0", ("in", ())), ("g0", ("or", ("x0",))),
+                   ("out", ("out", ("g0",)))])
+    reduce_full(full_chain_detailed(or1).instance)
+    # Alone, each rule fires on its pattern even where another rule
+    # would fire first under all rules.
+    for rule in RuleId:
+        for seed in range(10):
+            inst, _ = rule_pattern_instance(rule.value, seed)
+            reduce_full(inst)
+            reduce_full(inst, rules={rule})
+    assert set(checked) == set(RuleId)
+
+
+def test_measure_check_trips_on_a_rule_that_changes_nothing(monkeypatch):
+    def noop(work, v):
+        return reductions.ReductionEvent(RuleId.DEG1A, (v,), excluded=(v,))
+
+    monkeypatch.setitem(reductions._LOCAL_APPLY, RuleId.DEG1A, noop)
+    with pytest.raises(AssertionError, match="Deg1a did not decrease"):
+        reduce_full(path_graph(4))
+
+
+def test_observed_pair_check_trips_on_obse_that_changes_nothing(monkeypatch):
+    def noop(work, site):
+        return reductions.ReductionEvent(RuleId.OBSE, tuple(site))
+
+    monkeypatch.setattr(reductions, "_obse_apply", noop)
+    inst, _ = rule_pattern_instance("ObsE", 0)
+    with pytest.raises(AssertionError, match="ObsE did not reduce"):
+        reduce_full(inst, rules={RuleId.OBSE})

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -8,8 +9,8 @@ from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.solver import BoundsTrace
 
-from conftest import (cycle_graph, disjoint_stars, oracle_gamma, path_graph,
-                      random_instance, star_graph)
+from conftest import (cycle_graph, disjoint_stars, gridlike_graph,
+                      oracle_gamma, path_graph, random_instance, star_graph)
 
 SUBSETS = ("all", "local", "nonlocal", "local+dom", "local+necn", "none")
 
@@ -157,3 +158,19 @@ def test_jobs_parallel_agrees():
     par = solve(inst, seed=3, jobs=2)
     assert seq.gamma_p == par.gamma_p == 4
     assert seq.solution == par.solution
+
+
+def test_time_limit_bounds_the_reduction():
+    # All rules take about 4 s to reduce this graph to its fixpoint on a
+    # 2-core x86 machine, well over ten times the limit; the solve must
+    # stop reducing at the deadline and still return a feasible solution.
+    inst = gridlike_graph(1200, 1)
+    limit = 0.3
+    t0 = time.perf_counter()
+    res = solve(inst, time_limit=limit)
+    wall = time.perf_counter() - t0
+    assert wall <= limit + 1.0
+    assert res.status == TIMED_OUT
+    assert res.solution is not None
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+    assert res.lower_bound <= len(res.solution) == res.upper_bound
