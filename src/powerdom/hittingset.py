@@ -3,11 +3,24 @@
 Instances only ever grow (sets are added, never removed), so the optimum
 of an earlier instance is a valid lower bound for any later one. The
 exact solver exploits that through lower/upper bound hints.
+
+Every node of the exact search first reduces its family of unhit sets to
+a kernel (Weihe, "Covering trains by stations or the power of data
+reduction", ALEX 1998): elements of singleton sets are taken, supersets
+of other sets are dropped, and an element is dropped when another one
+lies in every set it lies in. The kernel is then split into components
+that share no element, each solved on its own.
 """
 
 from __future__ import annotations
 
+import time
+
 from .errors import InfeasibleInstanceError
+
+
+class HittingSetTimeout(Exception):
+    """`solve_exact` passed its deadline before it proved an optimum."""
 
 
 class HittingSetInstance:
@@ -79,80 +92,141 @@ def solve_greedy(hs):
     return frozenset(chosen)
 
 
-def _popcount(x):
-    return bin(x).count("1")
+def _bits(x):
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
 
 
-def solve_exact(hs, lower_bound_hint=0, upper_bound_hint=None):
-    """Minimum hitting set by branch and bound.
+def _kernel(sets):
+    """Reduce a family of element masks until no rule applies. Returns the
+    elements of singleton sets, which every hitting set takes, and the rest
+    sorted by (size, mask), or None in its place when a set is empty."""
+    taken = 0
+    while True:
+        if 0 in sets:
+            return taken, None
+        units = 0
+        for m in sets:
+            if m & (m - 1) == 0:
+                units |= m
+        if units:
+            taken |= units
+            sets = [m for m in sets if not m & units]
+            continue
+        kept = []  # a superset is hit whenever its subset is
+        for m in sorted(set(sets), key=lambda m: (m.bit_count(), m)):
+            if not any(k & m == k for k in kept):
+                kept.append(m)
+        # An element lying in every set of another can replace it, so the
+        # other is dropped; equal incidence keeps the lowest id. This is a
+        # strict order, so every dropped element keeps a dominator.
+        within, count = {}, {}
+        for m in kept:
+            for bit in _bits(m):
+                within[bit] = within.get(bit, m) & m
+                count[bit] = count.get(bit, 0) + 1
+        drop = 0
+        for bit, cand in within.items():
+            cand &= ~bit
+            if cand & (bit - 1) or any(count[v] > count[bit]
+                                       for v in _bits(cand)):
+                drop |= bit
+        if not drop:
+            return taken, kept
+        sets = [m & ~drop for m in kept]
 
-    Branches on the elements of a smallest unhit set (include vs. forbid),
-    forces elements of singleton sets, prunes dominated supersets and uses
-    a greedy disjoint-set packing as lower bound. All tie-breaks are by
-    ascending element id, so the result is deterministic.
+
+def _components(sets):
+    """Split a family into parts that share no element, each with the size
+    of a greedy packing of pairwise disjoint sets as its lower bound."""
+    parts = []
+    while sets:
+        elems, grown = 0, sets[0]
+        while grown != elems:
+            elems = grown
+            for m in sets:
+                if m & elems:
+                    grown |= m
+        part = [m for m in sets if m & elems]
+        used = bound = 0
+        for m in part:
+            if not m & used:
+                used |= m
+                bound += 1
+        parts.append((part, bound))
+        sets = [m for m in sets if not m & elems]
+    return parts
+
+
+def _search(sets, limit, floor, deadline):
+    """Smallest hitting set of `sets` with fewer than `limit` elements, as
+    (mask, size), or None. Reaching the lower bound `floor` ends the search."""
+    taken, sets = _kernel(sets)
+    if sets is None:
+        return None
+    parts = _components(sets)
+    total = taken.bit_count() + sum(bound for _, bound in parts)
+    if total >= limit:
+        return None
+    # `total` counts solved parts exactly and the others by their bound.
+    for i, (part, bound) in enumerate(parts):
+        total -= bound
+        if i == len(parts) - 1:
+            bound = max(bound, floor - total)
+        got = _branch(part, limit - total, bound, deadline)
+        if got is None:
+            return None
+        taken |= got[0]
+        total += got[1]
+    return taken, total
+
+
+def _branch(sets, limit, floor, deadline):
+    """`_search` on a kernel with one component: take an element of a
+    smallest set, or forbid it in the branches after it."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise HittingSetTimeout("deadline passed inside the hitting set search")
+    best = None
+    forbidden = 0
+    for bit in _bits(sets[0]):
+        got = _search([m & ~forbidden for m in sets if not m & bit],
+                      limit - 1, floor - 1, deadline)
+        if got is not None:
+            best, limit = got[0] | bit, got[1] + 1
+            if limit <= floor:
+                break
+        forbidden |= bit
+    return None if best is None else (best, limit)
+
+
+def solve_exact(hs, lower_bound_hint=0, upper_bound_hint=None, deadline=None):
+    """Minimum hitting set by branch and bound on kernels, starting from the
+    greedy hitting set. Each node reduces its unhit sets (see the module
+    docstring) and solves each component within the budget the others'
+    disjoint-set packing bounds leave, branching on the elements of a
+    smallest set (take vs. forbid). Ties go to the lowest id, so results
+    are deterministic.
 
     Returns (hitting set, size). `lower_bound_hint` may come from a
     previous solve of a subset family (the optimum only grows when sets
-    are added); `upper_bound_hint` is checked against the result.
+    are added) and ends the search once reached; `upper_bound_hint` is
+    checked against the result. Past the `time.perf_counter()` value
+    `deadline`, the next branching node raises `HittingSetTimeout`.
     """
     if hs.infeasible_sets:
         raise InfeasibleInstanceError("family contains an unhittable set")
     elems, index, masks, forced = _to_masks(hs)
-
-    # Dominated supersets are hit whenever their subset is.
-    masks = sorted(set(masks), key=lambda m: (_popcount(m), m))
-    kept = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    masks = kept
-
     greedy = solve_greedy(hs)
     best_mask = sum(1 << index[v] for v in greedy)
-    best_size = len(greedy)
-    floor = max(lower_bound_hint, _popcount(forced))
-
-    def packing_bound(unhit):
-        used = 0
-        count = 0
-        for m in unhit:
-            if not m & used:
-                used |= m
-                count += 1
-        return count
-
-    def recurse(chosen_mask, chosen_count, forbidden):
-        nonlocal best_mask, best_size
-        if best_size <= floor:
-            return
-        unhit = [m & ~forbidden for m in masks if not m & chosen_mask]
-        if any(m == 0 for m in unhit):
-            return
-        if not unhit:
-            if chosen_count < best_size:
-                best_mask, best_size = chosen_mask, chosen_count
-            return
-        if chosen_count + packing_bound(unhit) >= best_size:
-            return
-        # Unit propagation: singleton sets force their element.
-        units = 0
-        for m in unhit:
-            if m & (m - 1) == 0:
-                units |= m
-        if units:
-            add = _popcount(units)
-            if chosen_count + add < best_size:
-                recurse(chosen_mask | units, chosen_count + add, forbidden)
-            return
-        pivot = min(unhit, key=lambda m: (_popcount(m), m))
-        while pivot:
-            bit = pivot & -pivot
-            recurse(chosen_mask | bit, chosen_count + 1, forbidden)
-            forbidden |= bit
-            pivot &= ~bit
-
-    if best_size > floor:
-        recurse(forced, _popcount(forced), 0)
+    n_forced = forced.bit_count()
+    floor = max(lower_bound_hint, n_forced)
+    if len(greedy) > floor:
+        got = _search([m for m in masks if not m & forced],
+                      len(greedy) - n_forced, floor - n_forced, deadline)
+        if got is not None:
+            best_mask = forced | got[0]
     out = frozenset(elems[i] for i in range(len(elems)) if best_mask >> i & 1)
     if upper_bound_hint is not None and len(out) > upper_bound_hint:
         raise AssertionError(

@@ -17,7 +17,7 @@ import numpy as np
 from .decompose import merge_solutions, split
 from .errors import InfeasibleInstanceError
 from .forts import FortFamily, find_forts
-from .hittingset import HittingSetInstance, solve_exact
+from .hittingset import HittingSetInstance, HittingSetTimeout, solve_exact
 from .instance import SolutionSet
 from .propagation import observe_from
 from .reductions import RULE_SUBSETS, lift_solution, reduce_full
@@ -182,7 +182,12 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
         if deadline is not None and time.perf_counter() > deadline:
             return result(TIMED_OUT, best, None, lower, len(best),
                           len(family), solves)
-        hit, size = solve_exact(hs, lower_bound_hint=lb_hint)
+        try:
+            hit, size = solve_exact(hs, lower_bound_hint=lb_hint,
+                                    deadline=deadline)
+        except HittingSetTimeout:
+            return result(TIMED_OUT, best, None, lower, len(best),
+                          len(family), solves)
         solves += 1
         lb_hint = size
         lower = x_size + size
@@ -309,6 +314,7 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
                     timed_out = True
                     lower_extras[i] = max(lower_extras[i],
                                           res.lower_bound - part_x)
+                    extras[i] = min(extras[i], res.upper_bound - part_x)
                     solutions[i] = res.solution
                 else:
                     lower_extras[i] = res.gamma_p - part_x
@@ -339,13 +345,17 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
     if timed_out:
         lower = x_size + sum(lower_extras.values())
         upper = x_size + sum(extras.values())
-        best = _assemble(decomp, solutions, log)
-        return result(TIMED_OUT, best, None, lower, upper,
-                      fort_count, hs_solves)
-
-    part_solutions = [solutions[i] for i in range(len(parts))]
-    merged = merge_solutions(decomp, part_solutions)
-    lifted = lift_solution(log, merged)
+        lifted = _assemble(decomp, solutions, log)
+        if lower < upper:
+            return result(TIMED_OUT, lifted, None, lower, upper,
+                          fort_count, hs_solves)
+        # The bounds met before the deadline: the incumbent is optimal.
+        if len(lifted) != upper:
+            raise AssertionError("incumbent size differs from the upper bound")
+    else:
+        part_solutions = [solutions[i] for i in range(len(parts))]
+        merged = merge_solutions(decomp, part_solutions)
+        lifted = lift_solution(log, merged)
     if not observe_from(inst, lifted.selected).is_complete():
         raise AssertionError("solver produced an infeasible solution")
     gamma = len(lifted)

@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from powerdom import HittingSetInstance, solve_exact, solve_greedy
 from powerdom.errors import InfeasibleInstanceError
+from powerdom.hittingset import HittingSetTimeout
 
 
 def brute_minimum(universe, sets):
@@ -106,3 +108,64 @@ def test_deterministic():
     hs1 = random_family(123)
     hs2 = random_family(123)
     assert solve_exact(hs1) == solve_exact(hs2)
+
+
+def big_random_family(seed):
+    """Up to 16 sets of size 1-5 over a universe of up to 20, with up to
+    two forced elements. Each of up to three blocks of the universe starts
+    as a cycle of pairs, which no reduction removes, so families fall
+    apart into components; random extra sets within the blocks or across
+    the universe join components and make elements dominated."""
+    rng = random.Random(seed)
+    universe = list(range(rng.randint(12, 20)))
+    rng.shuffle(universe)
+    sets = []
+    start = 0
+    for _ in range(rng.randint(1, 3)):
+        block = universe[start:start + rng.randint(3, 4)]
+        start += len(block)
+        sets += [frozenset((block[i - 1], block[i]))
+                 for i in range(len(block))]
+    while len(sets) < 16 and rng.random() < 0.8:
+        pool = universe if rng.random() < 0.5 else universe[:start]
+        sets.append(frozenset(rng.sample(pool,
+                                         rng.randint(1, min(5, len(pool))))))
+    forced = rng.sample(universe, rng.randint(0, 2))
+    return HittingSetInstance(universe, sets, forced)
+
+
+def test_matches_bruteforce_larger_families():
+    for seed in range(300):
+        hs = big_random_family(seed)
+        rest = [s for s in hs.sets if not s & hs.forced]
+        expected = len(hs.forced) + brute_minimum(hs.universe - hs.forced,
+                                                  rest)
+        got_set, got = solve_exact(hs)
+        assert got == len(got_set) == expected, seed
+        assert all(got_set & s for s in hs.sets)
+        assert hs.forced <= got_set
+
+
+def test_warm_start_agrees_with_cold_on_larger_families():
+    for seed in range(40):
+        full = big_random_family(1000 + seed)
+        hs = HittingSetInstance(full.universe, forced=full.forced)
+        prev = 0
+        for s in full.sets:
+            hs.add_sets([s])
+            warm_set, warm = solve_exact(hs, lower_bound_hint=prev)
+            assert warm == solve_exact(hs)[1]
+            assert all(warm_set & t for t in hs.sets)
+            assert hs.forced <= warm_set
+            prev = warm
+
+
+def test_passed_deadline_stops_a_search_that_branches():
+    # A triangle of pairs has no singleton, superset or dominated element,
+    # so the kernel cannot close it and the search must branch.
+    hs = HittingSetInstance(range(3), [{0, 1}, {1, 2}, {0, 2}])
+    with pytest.raises(HittingSetTimeout):
+        solve_exact(hs, deadline=time.perf_counter())
+    # The kernel alone answers this one: no branching, so no deadline check.
+    hs = HittingSetInstance(range(4), [{1}, {2, 3}, {1, 2}])
+    assert solve_exact(hs, deadline=time.perf_counter())[1] == 2

@@ -4,9 +4,10 @@ import time
 import pytest
 
 from powerdom import (INFEASIBLE, OPTIMAL, TIMED_OUT, PdsInstance,
-                      greedy_complete, ihs_kernel_solve, solve)
+                      greedy_complete, ihs_kernel_solve, solve, solver)
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
+from powerdom.hittingset import HittingSetTimeout
 from powerdom.solver import BoundsTrace
 
 from conftest import (cycle_graph, disjoint_stars, gridlike_graph,
@@ -141,8 +142,11 @@ def test_trace_csv_format():
 
 
 def test_time_limit_times_out():
-    # an expired deadline must return bounds instead of an answer
-    inst = disjoint_stars(3)
+    # an expired deadline must return bounds instead of an answer; two
+    # 3-leaf stars with adjacent centres need 2 vertices, but the bounds
+    # known before any hitting set solve are 1 and 2
+    inst = PdsInstance(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7),
+                           (0, 4)])
     res = solve(inst, time_limit=0.0, reductions="none")
     assert res.status == TIMED_OUT
     assert res.gamma_p is None
@@ -150,6 +154,60 @@ def test_time_limit_times_out():
     assert res.lower_bound <= gamma <= res.upper_bound
     if res.solution is not None:
         assert len(observed_set(inst, res.solution.selected)) == inst.n
+
+
+def test_expired_deadline_with_meeting_bounds_is_optimal():
+    # Each star needs one vertex and the greedy takes one per star, so the
+    # bounds meet before the deadline is first checked.
+    inst = disjoint_stars(5)
+    res = solve(inst, time_limit=0.0, reductions="none")
+    assert res.status == OPTIMAL
+    assert res.gamma_p == res.lower_bound == res.upper_bound == 5
+    assert len(res.solution) == 5
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+
+
+def test_deadline_cuts_a_hitting_set_solve(monkeypatch):
+    # The first two hitting set solves of this graph need no branching;
+    # the third does. Starting that solve only once the deadline has
+    # passed stands in for a solve slower than the time left, and the
+    # search must stop at its first branching node.
+    inst = gridlike_graph(90, 11)
+    limit = 1.0
+    real = solver.solve_exact
+    calls = []
+    cut = []
+
+    def late_third_solve(hs, lower_bound_hint=0, deadline=None):
+        calls.append(len(hs))
+        if len(calls) == 3:
+            time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
+        try:
+            return real(hs, lower_bound_hint=lower_bound_hint,
+                        deadline=deadline)
+        except HittingSetTimeout:
+            cut.append(len(hs))
+            raise
+
+    monkeypatch.setattr(solver, "solve_exact", late_third_solve)
+    t0 = time.perf_counter()
+    res = ihs_kernel_solve(inst, seed=0, deadline=t0 + limit)
+    wall = time.perf_counter() - t0
+    assert len(calls) == 3 and len(cut) == 1
+    assert wall <= limit + 1.0
+    assert res.status == TIMED_OUT and res.gamma_p is None
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+    assert res.lower_bound <= len(res.solution) == res.upper_bound
+
+
+def test_grid_solves_are_seed_reproducible():
+    for n, gen_seed in ((90, 11), (100, 3)):
+        inst = gridlike_graph(n, gen_seed)
+        a = solve(inst, reductions="none", seed=0)
+        b = solve(inst, reductions="none", seed=0)
+        assert a.status == OPTIMAL
+        assert (a.solution, a.fort_count, a.hitting_set_solves) == \
+            (b.solution, b.fort_count, b.hitting_set_solves)
 
 
 def test_jobs_parallel_agrees():
