@@ -13,7 +13,7 @@ import sys
 from . import milp as milp_mod
 from .bruteforce import oracle_pds
 from .errors import GuardExceededError, InfeasibleInstanceError, ParseError
-from .forts import find_forts
+from .forts import closed_neighborhood, find_forts
 from .hardness import full_chain, parse_circuit
 from .hittingset import HittingSetInstance
 from .instance import generate_random, parse_instance, write_instance
@@ -102,11 +102,7 @@ def cmd_export_milp(args):
     else:
         forts = find_forts(inst, frozenset(), seed=args.seed)
         hs = HittingSetInstance(inst.undecided())
-        for fort in forts:
-            hood = set(fort)
-            for v in fort:
-                hood.update(inst.adj[v])
-            hs.add_sets([hood])
+        hs.add_sets([closed_neighborhood(inst, fort) for fort in forts])
         model = milp_mod.build_hitting_set_ilp(hs)
     out = args.output or f"{args.instance}.{args.model}-milp.lp"
     with open(out, "w", encoding="utf-8") as fh:

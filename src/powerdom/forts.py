@@ -58,6 +58,13 @@ def minimize_fort(inst, fort, pool, selected=()):
     if not pool:
         return frozenset(fort)
     state = observe_from(inst, selected)
+    _reselect(state, pool)
+    return state.unobserved_vertices()
+
+
+def _reselect(state, pool):
+    """Select each unselected pool vertex in ascending id order unless that
+    completes the state; returns the vertices kept selected."""
     kept = []
     for p in sorted(pool):
         if p in state.selected:
@@ -67,7 +74,7 @@ def minimize_fort(inst, fort, pool, selected=()):
             state.deselect(p)
         else:
             kept.append(p)
-    return state.unobserved_vertices()
+    return kept
 
 
 class FortFamily:
@@ -133,14 +140,7 @@ def find_forts(inst, hitting_set, seed=0):
         prev_was_solution = state.is_complete()
         if prev_was_solution:
             continue
-        reselect_pool = sorted(removed - {u})
-        kept = []
-        for p in reselect_pool:
-            state.select(p)
-            if state.is_complete():
-                state.deselect(p)
-            else:
-                kept.append(p)
+        kept = _reselect(state, removed - {u})
         fort = state.unobserved_vertices()
         for p in kept:
             state.deselect(p)

@@ -22,7 +22,12 @@ SELF = ("self",)
 
 
 class ObservationState:
-    """Single-writer observation fixpoint over an immutable instance."""
+    """Single-writer observation fixpoint over a graph.
+
+    The graph is anything with `n`, `adj`, `propagating` and `degree(v)`,
+    such as a `PdsInstance` or the reduction work state. Its edges and
+    propagating flags must not change while the state is in use.
+    """
 
     __slots__ = ("inst", "selected", "observed", "witness", "prop_children",
                  "unobs_count", "observed_count")

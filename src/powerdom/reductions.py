@@ -16,13 +16,13 @@ that are not pre-selected; that count is taken only where its guard
 holds.
 
 "Observed" in rule guards always means observed by the pre-selected set
-alone.
+alone, except in Dom and NecN, which add candidate selections to it.
+Guards run the solver's `observe_from` on the live work state itself.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,6 +100,8 @@ class _Work:
     markings. Next to `alive_count` they keep three counters over the
     alive vertices: `undecided_count`, `edge_count` (real insertions and
     removals only) and `propagating_count`, so `measure()` costs O(1).
+    Its `n`, `adj`, `propagating` and `degree()` let `observe_from` run on
+    it; deleted vertices have no edges and are never selected.
     """
 
     def __init__(self, inst):
@@ -172,39 +174,15 @@ class _Work:
         return sorted((u, v) for u in range(self.n) if self.alive[u]
                       for v in self.adj[u] if u < v)
 
+    def pre_selected(self):
+        return [v for v in range(self.n)
+                if self.alive[v] and self.status[v] == PRE]
+
     def observed(self):
         """Fixpoint of the observation rules for the current pre-selected set."""
         if self._obs is None:
-            obs = [False] * self.n
-            unobs = {v: len(self.adj[v]) for v in range(self.n) if self.alive[v]}
-            queue = deque()
-
-            def mark(v):
-                obs[v] = True
-                for u in self.adj[v]:
-                    unobs[u] -= 1
-                    if obs[u] and self.propagating[u] and unobs[u] == 1:
-                        queue.append(u)
-                if self.propagating[v] and unobs[v] == 1:
-                    queue.append(v)
-
-            for s in range(self.n):
-                if self.alive[s] and self.status[s] == PRE:
-                    if not obs[s]:
-                        mark(s)
-                    for w in self.adj[s]:
-                        if not obs[w]:
-                            mark(w)
-            while queue:
-                u = queue.popleft()
-                if not (obs[u] and self.propagating[u] and unobs[u] == 1):
-                    continue
-                for w in self.adj[u]:
-                    if not obs[w]:
-                        mark(w)
-                        break
-            self._obs = frozenset(v for v in range(self.n)
-                                  if self.alive[v] and obs[v])
+            state = observe_from(self, self.pre_selected())
+            self._obs = state.observed_vertices()
         return self._obs
 
     def measure(self):
@@ -407,8 +385,7 @@ def _obse_holds(work, site):
 def _obse_apply(work, site):
     """Rewire an edge whose guard holds to the smallest pre-selected id."""
     v, w = site
-    x = next(u for u in range(work.n)
-             if work.alive[u] and work.status[u] == PRE)
+    x = work.pre_selected()[0]
     added = []
     work.remove_edge(v, w)
     for end in (v, w):
@@ -450,33 +427,46 @@ def _sites(work, rule):
     return work.vertices()
 
 
+# An observation state of the work graph stays valid while only statuses
+# change, which is all Dom and NecN do; it must not outlive any other
+# mutation.
+
+
+def _dom(work, state, v, w):
+    """Exclude undecided w when the state, which selects v on top of the
+    pre-selected set, observes N[w]."""
+    if work.status[w] != UND or not state.is_observed(w):
+        return None
+    if not all(state.is_observed(t) for t in work.adj[w]):
+        return None
+    work.set_status(w, EXC)
+    return ReductionEvent(RuleId.DOM, (v, w), excluded=(w,))
+
+
+def _necn(work, state, v):
+    """Pre-select v when the state, which selects the pre-selected set and
+    every undecided vertex but v, leaves an alive vertex unobserved."""
+    # `state.is_complete()` would count deleted vertices too.
+    if state.observed_count == work.alive_count:
+        return None
+    work.set_status(v, PRE)
+    return ReductionEvent(RuleId.NECN, (v,), selected=(v,))
+
+
 def _dom_single(work, site):
     v, w = site
     if not (work.alive[v] and work.alive[w]) or v == w:
         return None
-    if work.status[v] != UND or work.status[w] != UND:
+    if work.status[v] != UND:
         return None
-    snap, to_work = work.snapshot()
-    to_snap = {orig: i for i, orig in enumerate(to_work)}
-    state = observe_from(snap, snap.pre_selected | {to_snap[v]})
-    closed = work.adj[w] | {w}
-    if all(state.is_observed(to_snap[t]) for t in closed):
-        work.set_status(w, EXC)
-        return ReductionEvent(RuleId.DOM, (v, w), excluded=(w,))
-    return None
+    return _dom(work, observe_from(work, work.pre_selected() + [v]), v, w)
 
 
 def _necn_single(work, v):
     if not work.alive[v] or work.status[v] != UND:
         return None
-    snap, to_work = work.snapshot()
-    to_snap = {orig: i for i, orig in enumerate(to_work)}
-    others = {to_snap[u] for u in work.undecided() if u != v}
-    state = observe_from(snap, snap.pre_selected | others)
-    if not state.is_complete():
-        work.set_status(v, PRE)
-        return ReductionEvent(RuleId.NECN, (v,), selected=(v,))
-    return None
+    others = [u for u in work.undecided() if u != v]
+    return _necn(work, observe_from(work, work.pre_selected() + others), v)
 
 
 @dataclass
@@ -487,28 +477,18 @@ class RuleApplication:
     to_original: tuple
 
 
-def apply_rule_once(inst, rule, site, obs=None):
+def apply_rule_once(inst, rule, site):
     """Apply one rule at one site if its guard holds.
 
     `site` is a vertex id for vertex rules, an edge pair for Tri/ObsE and
-    an ordered vertex pair for Dom. `obs` may carry a precomputed
-    observation state for the pre-selected set; it is only a cache seed.
-    Returns a RuleApplication whose instance is compacted to dense ids
-    with `to_original` mapping kernel ids back.
+    an ordered vertex pair for Dom. Returns a RuleApplication whose
+    instance is compacted to dense ids with `to_original` mapping kernel
+    ids back.
     """
     work = _Work(inst)
-    if obs is not None:
-        work._obs = obs.observed_vertices()
-    if rule is RuleId.DOM:
-        event = _dom_single(work, site)
-    elif rule is RuleId.NECN:
-        event = _necn_single(work, site)
-    else:
-        fn = _LOCAL_APPLY[rule]
-        if rule in (RuleId.TRI, RuleId.OBSE):
-            event = fn(work, tuple(site))
-        else:
-            event = fn(work, site)
+    fn = {RuleId.DOM: _dom_single, RuleId.NECN: _necn_single}.get(rule)
+    fn = fn or _LOCAL_APPLY[rule]
+    event = fn(work, tuple(site) if rule in _EDGE_SITE_RULES else site)
     if event is None:
         return RuleApplication(False, inst, None, tuple(range(inst.n)))
     kernel, to_original = work.snapshot()
@@ -632,44 +612,33 @@ class _Driver:
     def dom_pass(self):
         """One exhaustive pass of the domination rule."""
         work = self.work
-        snap, to_work = work.snapshot()
-        to_snap = {orig: i for i, orig in enumerate(to_work)}
-        state = observe_from(snap, snap.pre_selected)
+        state = observe_from(work, work.pre_selected())
         fired = False
         undecided = work.undecided()
         for v in undecided:
             if work.status[v] != UND:
                 continue
-            state.select(to_snap[v])
+            state.select(v)
             for w in undecided:
-                if w == v or work.status[w] != UND:
-                    continue
-                closed = work.adj[w] | {w}
-                if all(state.is_observed(to_snap[t]) for t in closed):
-                    work.set_status(w, EXC)
-                    self._record(ReductionEvent(RuleId.DOM, (v, w),
-                                                excluded=(w,)))
+                event = w != v and _dom(work, state, v, w)
+                if event:
+                    self._record(event)
                     fired = True
-            state.deselect(to_snap[v])
+            state.deselect(v)
         return fired
 
     def necn_pass(self):
         """One exhaustive pass of the necessary-node rule."""
         work = self.work
-        snap, to_work = work.snapshot()
-        to_snap = {orig: i for i, orig in enumerate(to_work)}
         undecided = work.undecided()
-        base = snap.pre_selected | {to_snap[v] for v in undecided}
-        state = observe_from(snap, base)
+        state = observe_from(work, work.pre_selected() + undecided)
         fired = False
         for v in undecided:
-            sv = to_snap[v]
-            state.deselect(sv)
-            necessary = not state.is_complete()
-            state.select(sv)
-            if necessary:
-                work.set_status(v, PRE)
-                self._record(ReductionEvent(RuleId.NECN, (v,), selected=(v,)))
+            state.deselect(v)
+            event = _necn(work, state, v)
+            state.select(v)
+            if event:
+                self._record(event)
                 fired = True
         return fired
 

@@ -9,7 +9,7 @@ provide anytime upper bounds.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +122,7 @@ def greedy_complete(inst, h=()):
 
 
 def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
-                     deadline=None, report=None, clock=None):
+                     deadline=None, report=None):
     """Implicit hitting set loop for one (sub)instance.
 
     Intended for kernels but correct on any instance. `report(kind, value)`
@@ -132,11 +132,10 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
     t0 = time.perf_counter()
     if deadline is None and time_limit is not None:
         deadline = t0 + time_limit
-    now = clock if clock is not None else (lambda: time.perf_counter() - t0)
     trace = trace if trace is not None else BoundsTrace()
 
     def emit(kind, value):
-        t = now()
+        t = time.perf_counter() - t0
         if kind == "lower":
             trace.add_lower(t, value)
         else:
@@ -195,29 +194,40 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
         if lower > len(best):
             raise AssertionError("lower bound exceeded a feasible upper bound")
         if observe_from(sub, sub.pre_selected | hit).is_complete():
-            sol = SolutionSet(frozenset(sub.pre_selected | hit))
-            emit("upper", lower)
-            return result(OPTIMAL, sol, lower, lower, lower,
-                          len(family), solves)
-        if lower == len(best):
-            # Bound sandwich: the greedy incumbent is optimal.
-            return result(OPTIMAL, best, lower, lower, lower,
-                          len(family), solves)
-        cand = greedy_complete(sub, hit)
-        if len(cand) < len(best):
-            best = cand
+            best = SolutionSet(frozenset(sub.pre_selected | hit))
+        elif lower < len(best):
+            best = min(best, greedy_complete(sub, hit), key=len)
         emit("upper", len(best))
         if lower == len(best):
+            # Bound sandwich: the incumbent is optimal.
             return result(OPTIMAL, best, lower, lower, lower,
                           len(family), solves)
         grow(hit)
 
 
-def _solve_part(args):
-    sub, seed, deadline = args
+def _solve_part(sub, seed, time_limit):
     trace = BoundsTrace()
-    res = ihs_kernel_solve(sub, seed=seed, deadline=deadline, trace=trace)
-    return res, trace.events
+    res = ihs_kernel_solve(sub, seed=seed, time_limit=time_limit, trace=trace)
+    return res, [(kind, value) for _t, kind, value in trace.events]
+
+
+def _solve_parts_in_pool(tasks, jobs, deadline):
+    """`_solve_part` results for (sub, seed) tasks run in worker processes,
+    at most `jobs` at a time, each given the seconds left when it starts."""
+    results = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        running = {}
+        for k, (sub, seed) in enumerate(tasks):
+            if len(running) == jobs:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    results[running.pop(future)] = future.result()
+            left = (None if deadline is None
+                    else max(0.0, deadline - time.perf_counter()))
+            running[pool.submit(_solve_part, sub, seed, left)] = k
+        for future, k in running.items():
+            results[k] = future.result()
+    return results
 
 
 def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
@@ -227,7 +237,9 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
     `reductions` names a rule subset ('all', 'local', 'nonlocal',
     'local+dom', 'local+necn', 'none'). Deterministic for a fixed seed
     when no timeout occurs; subinstances are solved largest-first with a
-    shared deadline, which also cuts the reduction short.
+    shared deadline, which also cuts the reduction short. With `jobs > 1`
+    the parts are solved in worker processes and their bound events are
+    replayed in the same order, so the trace matches a serial run.
     """
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit is not None else None
@@ -246,134 +258,68 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
                            stats["rule_counts"], seed)
 
     decomp = split(kernel)
-    parts = decomp.parts
+    parts = [part.instance for part in decomp.parts]
     x_size = len(kernel.pre_selected)
 
-    # Structural bounds before any hitting set work: each component whose
-    # inherited X does not already observe it needs at least one vertex.
-    needs = []
-    greedy_extra = []
+    # Every part starts from its greedy incumbent; greedy fails exactly
+    # when the part is infeasible. Bounds are kept per part beyond its
+    # inherited X: a part X does not already observe needs one more vertex.
     try:
-        for part in parts:
-            covered = observe_from(part.instance,
-                                   part.instance.pre_selected).is_complete()
-            needs.append(0 if covered else 1)
-            if covered:
-                greedy_extra.append(0)
-            else:
-                g = greedy_complete(part.instance, ())
-                greedy_extra.append(len(g) - len(part.instance.pre_selected))
+        solutions = [greedy_complete(part) for part in parts]
     except InfeasibleInstanceError:
         return result(INFEASIBLE, None, None, 0, None, 0, 0)
+    part_x = [len(part.pre_selected) for part in parts]
+    uppers = [len(sol) - x for sol, x in zip(solutions, part_x)]
+    lowers = [min(1, extra) for extra in uppers]
+    trace.add_lower(clock(), x_size + sum(lowers))
+    trace.add_upper(clock(), x_size + sum(uppers))
 
-    trace.add_lower(clock(), x_size + sum(needs))
-    trace.add_upper(clock(), x_size + sum(greedy_extra))
+    def report(i):
+        def bound(kind, value):
+            extra = value - part_x[i]
+            if kind == "lower" and extra > lowers[i]:
+                lowers[i] = extra
+                trace.add_lower(clock(), x_size + sum(lowers))
+            elif kind == "upper" and extra < uppers[i]:
+                uppers[i] = extra
+                trace.add_upper(clock(), x_size + sum(uppers))
+        return bound
 
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(seed).spawn(max(1, len(parts)))]
-    order = sorted(range(len(parts)), key=lambda i: -parts[i].instance.n)
-
-    extras = dict(enumerate(greedy_extra))  # upper contribution per part
-    lower_extras = dict(enumerate(needs))
-    solutions = [None] * len(parts)
-    fort_count = 0
-    hs_solves = 0
-    timed_out = False
-
-    def aggregate(kind):
-        if kind == "lower":
-            trace.add_lower(clock(), x_size + sum(lower_extras.values()))
-        else:
-            trace.add_upper(clock(), x_size + sum(extras.values()))
-
-    def adapter(i):
-        part_x = len(parts[i].instance.pre_selected)
-
-        def report(kind, value):
-            extra = value - part_x
-            if kind == "lower":
-                if extra > lower_extras[i]:
-                    lower_extras[i] = extra
-                    aggregate("lower")
-            else:
-                if extra < extras[i]:
-                    extras[i] = extra
-                    aggregate("upper")
-        return report
-
-    try:
-        if jobs > 1 and len(order) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_solve_part, [
-                    (parts[i].instance, seeds[i], deadline) for i in order]))
-            for i, (res, _events) in zip(order, results):
-                part_x = len(parts[i].instance.pre_selected)
-                fort_count += res.fort_count
-                hs_solves += res.hitting_set_solves
-                if res.status == TIMED_OUT:
-                    timed_out = True
-                    lower_extras[i] = max(lower_extras[i],
-                                          res.lower_bound - part_x)
-                    extras[i] = min(extras[i], res.upper_bound - part_x)
-                    solutions[i] = res.solution
-                else:
-                    lower_extras[i] = res.gamma_p - part_x
-                    extras[i] = res.gamma_p - part_x
-                    solutions[i] = res.solution
-                aggregate("lower")
-                aggregate("upper")
-        else:
-            for i in order:
-                if deadline is not None and time.perf_counter() > deadline:
-                    timed_out = True
-                    break
-                res = ihs_kernel_solve(parts[i].instance, seed=seeds[i],
-                                       deadline=deadline, clock=clock,
-                                       report=adapter(i))
-                fort_count += res.fort_count
-                hs_solves += res.hitting_set_solves
-                if res.status == TIMED_OUT:
-                    timed_out = True
-                    solutions[i] = res.solution
-                    break
-                solutions[i] = res.solution
-                lower_extras[i] = res.gamma_p - len(parts[i].instance.pre_selected)
-                extras[i] = lower_extras[i]
-    except InfeasibleInstanceError:
-        return result(INFEASIBLE, None, None, 0, None, fort_count, hs_solves)
-
-    if timed_out:
-        lower = x_size + sum(lower_extras.values())
-        upper = x_size + sum(extras.values())
-        lifted = _assemble(decomp, solutions, log)
-        if lower < upper:
-            return result(TIMED_OUT, lifted, None, lower, upper,
-                          fort_count, hs_solves)
-        # The bounds met before the deadline: the incumbent is optimal.
-        if len(lifted) != upper:
-            raise AssertionError("incumbent size differs from the upper bound")
+    order = sorted(range(len(parts)), key=lambda i: -parts[i].n)
+    if jobs > 1 and len(order) > 1:
+        outcomes = _solve_parts_in_pool(
+            [(parts[i], seeds[i]) for i in order], jobs, deadline)
+        for i, (_res, events) in zip(order, outcomes):
+            for kind, value in events:
+                report(i)(kind, value)
+        results = [res for res, _events in outcomes]
     else:
-        part_solutions = [solutions[i] for i in range(len(parts))]
-        merged = merge_solutions(decomp, part_solutions)
-        lifted = lift_solution(log, merged)
+        results = []
+        for i in order:
+            if deadline is not None and time.perf_counter() > deadline:
+                break
+            results.append(ihs_kernel_solve(parts[i], seed=seeds[i],
+                                            deadline=deadline,
+                                            report=report(i)))
+    fort_count = hs_solves = 0
+    for i, res in zip(order, results):
+        fort_count += res.fort_count
+        hs_solves += res.hitting_set_solves
+        solutions[i] = res.solution
+
+    lifted = lift_solution(log, merge_solutions(decomp, solutions))
+    lower = x_size + sum(lowers)
+    upper = x_size + sum(uppers)
+    if lower < upper:
+        return result(TIMED_OUT, lifted, None, lower, upper,
+                      fort_count, hs_solves)
+    if len(lifted) != upper:
+        raise AssertionError("incumbent size differs from the upper bound")
     if not observe_from(inst, lifted.selected).is_complete():
         raise AssertionError("solver produced an infeasible solution")
-    gamma = len(lifted)
-    trace.add_lower(clock(), gamma)
-    trace.add_upper(clock(), gamma)
-    return result(OPTIMAL, lifted, gamma, gamma, gamma,
+    trace.add_lower(clock(), upper)
+    trace.add_upper(clock(), upper)
+    return result(OPTIMAL, lifted, upper, upper, upper,
                   fort_count, hs_solves)
-
-
-def _assemble(decomp, solutions, log):
-    """Best feasible original-instance solution from partial results."""
-    parts = []
-    try:
-        for part, sol in zip(decomp.parts, solutions):
-            if sol is None:
-                sol = greedy_complete(part.instance, ())
-            parts.append(sol)
-        merged = merge_solutions(decomp, parts)
-        return lift_solution(log, merged)
-    except InfeasibleInstanceError:
-        return None

@@ -279,6 +279,11 @@ def test_maintained_measure_matches_recount(small_corpus, monkeypatch):
                  work.propagating_count)
         assert terms == _recount(work), event
         assert work.measure() == sum(terms)
+        # The shared fixpoint on the live work state agrees with the
+        # independent dense oracle on the compacted kernel.
+        snap, to_work = work.snapshot()
+        oracle = {to_work[v] for v in observed_set(snap, snap.pre_selected)}
+        assert work.observed() == oracle, event
         checked.append(event.rule)
 
     monkeypatch.setattr(reductions._Driver, "_record", checking_record)

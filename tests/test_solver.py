@@ -216,6 +216,36 @@ def test_jobs_parallel_agrees():
     par = solve(inst, seed=3, jobs=2)
     assert seq.gamma_p == par.gamma_p == 4
     assert seq.solution == par.solution
+    # Worker bound events are replayed in the serial order.
+    inst = gridlike_graph(300, 2)
+    traces = []
+    for jobs in (1, 2):
+        trace = BoundsTrace()
+        solve(inst, seed=3, jobs=jobs, trace=trace)
+        traces.append([(kind, value) for _, kind, value in trace.events])
+    assert traces[0] == traces[1]
+
+
+def test_jobs_time_limit_bounds_the_workers():
+    # Each 12x12 grid alone takes longer than the limit with no
+    # reductions. Two run in workers at once and must stop in time; the
+    # third waits for a free worker and gets only the time left then.
+    side = 12
+    grid = [(r * side + c, r * side + c + 1) for r in range(side)
+            for c in range(side - 1)]
+    grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1)
+             for c in range(side)]
+    k = side * side
+    inst = PdsInstance(3 * k, [(u + i * k, v + i * k) for i in range(3)
+                               for u, v in grid])
+    limit = 2.0
+    t0 = time.perf_counter()
+    res = solve(inst, reductions="none", jobs=2, time_limit=limit)
+    wall = time.perf_counter() - t0
+    assert res.status == TIMED_OUT
+    assert wall <= limit + 1.0
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+    assert res.lower_bound <= len(res.solution) == res.upper_bound
 
 
 def test_time_limit_bounds_the_reduction():
