@@ -8,6 +8,8 @@ turns fort families into hitting set instances.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .errors import InfeasibleInstanceError
@@ -62,11 +64,14 @@ def minimize_fort(inst, fort, pool, selected=()):
     return state.unobserved_vertices()
 
 
-def _reselect(state, pool):
+def _reselect(state, pool, deadline=None):
     """Select each unselected pool vertex in ascending id order unless that
-    completes the state; returns the vertices kept selected."""
+    completes the state, stopping once the deadline has passed; returns the
+    vertices kept selected."""
     kept = []
     for p in sorted(pool):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
         if p in state.selected:
             continue
         state.select(p)
@@ -102,7 +107,7 @@ class FortFamily:
         return True
 
 
-def find_forts(inst, hitting_set, seed=0):
+def find_forts(inst, hitting_set, seed=0, deadline=None):
     """Candidate-sequence fort heuristic.
 
     Splits the vertices into X (pre-selected), Y (excluded), H (the
@@ -115,7 +120,9 @@ def find_forts(inst, hitting_set, seed=0):
     already a solution.
 
     Randomness comes from numpy's PCG64 generator, so a fixed seed
-    reproduces the fort list on any platform.
+    reproduces the fort list on any platform. Once the `perf_counter`
+    `deadline` has passed, the sweep stops and the forts found so far are
+    returned, possibly none; the last may be left less minimized.
     """
     hitting_set = frozenset(hitting_set)
     base = hitting_set | inst.pre_selected
@@ -132,6 +139,8 @@ def find_forts(inst, hitting_set, seed=0):
     removed = set()
     prev_was_solution = True
     for i, u in enumerate(order):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
         if not prev_was_solution:
             state.select(order[i - 1])
             removed.discard(order[i - 1])
@@ -140,7 +149,7 @@ def find_forts(inst, hitting_set, seed=0):
         prev_was_solution = state.is_complete()
         if prev_was_solution:
             continue
-        kept = _reselect(state, removed - {u})
+        kept = _reselect(state, removed - {u}, deadline)
         fort = state.unobserved_vertices()
         for p in kept:
             state.deselect(p)

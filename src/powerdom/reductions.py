@@ -4,9 +4,21 @@ Each rule either shrinks the graph or decides a vertex (pre-select or
 exclude) while preserving the optimum of the extension instance. The
 driver runs a DFS post-order pass of the cheap degree rules, then
 alternates exhaustive local rounds with the two observation-neighborhood
-rules until nothing fires. The local round restarts from the first rule
-in `LOCAL_RULES` order after every fire, so the firing sequence is a
-function of the rule order and the vertex ids.
+rules until nothing fires.
+
+Each local step fires the first rule in `LOCAL_RULES` order that holds
+anywhere, at its smallest site (vertex id, or edge pair), so the firing
+sequence is a function of the rule order and the vertex ids. The driver
+finds that step from a worklist rather than by rescanning every site:
+each enabled local rule keeps the set of sites it has still to test. A
+site leaves the set only when its guard fails, and every recorded event,
+local or not, puts back the sites whose guard inputs it touched. The
+guards read only a site's closed neighbourhood, the edges at its
+degree-two neighbours, and (Deg2c, ObsNP, ObsE) the observed set, which
+is diffed against the one those rules last tested under. So a site
+outside the set never holds, and the smallest pending site that holds is
+the one a full rescan would fire: the worklist changes how many guards
+are tried, not which rule fires where.
 
 Every fire is checked. A rule other than ObsE must strictly decrease the
 measure alive + undecided + edges + propagating vertices, whose terms
@@ -22,6 +34,7 @@ Guards run the solver's `observe_from` on the live work state itself.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -191,9 +204,10 @@ class _Work:
 
     def observed_pair_count(self):
         obs = self.observed()
-        return sum(1 for u, v in self.edge_list()
-                   if u in obs and v in obs
-                   and self.status[u] != PRE and self.status[v] != PRE)
+        status = self.status
+        return sum(1 for u in obs if status[u] != PRE
+                   for v in self.adj[u]
+                   if u < v and v in obs and status[v] != PRE)
 
     def snapshot(self):
         """Compact alive vertices into a PdsInstance; returns (inst, to_work)."""
@@ -414,6 +428,11 @@ _LOCAL_APPLY = {
 }
 
 _EDGE_SITE_RULES = {RuleId.OBSE, RuleId.TRI, RuleId.DOM}
+_OBSERVING_RULES = {RuleId.DEG2C, RuleId.OBSNP, RuleId.OBSE}
+# The status a vertex rule's site must have for its guard to hold.
+_SITE_STATUS = {RuleId.DEG1A: UND, RuleId.DEG1B: EXC, RuleId.DEG2A: UND,
+                RuleId.DEG2B: EXC, RuleId.DEG2C: EXC, RuleId.ONLYN: EXC,
+                RuleId.ISOL: UND, RuleId.OBSNP: EXC}
 
 
 def _sites(work, rule):
@@ -504,6 +523,27 @@ def applicable_sites(inst, rule):
     return out
 
 
+class _Pending:
+    """Sites a local rule has still to test, smallest first."""
+
+    def __init__(self):
+        self.heap = []
+        self.members = set()
+
+    def __bool__(self):
+        return bool(self.heap)
+
+    def add(self, site):
+        if site not in self.members:
+            self.members.add(site)
+            heapq.heappush(self.heap, site)
+
+    def pop(self):
+        site = heapq.heappop(self.heap)
+        self.members.remove(site)
+        return site
+
+
 class _Driver:
     def __init__(self, inst, rules, deadline=None):
         self.work = _Work(inst)
@@ -511,6 +551,13 @@ class _Driver:
         self.deadline = deadline
         self.events = []
         self.budget = 8 * (inst.n + inst.m + 2) ** 2 + 64
+        # Pending sites per enabled local rule; every site outside its set
+        # fails its guard. The observing rules' sets hold that under
+        # `tested_observed`, which is diffed before they are scanned.
+        self.local = [r for r in LOCAL_RULES if r in self.rules]
+        self.pending = {rule: _Pending() for rule in self.local}
+        self.tested_observed = None
+        self._requeue(self.work.vertices(), self.local)
 
     def _expired(self):
         return (self.deadline is not None
@@ -522,6 +569,69 @@ class _Driver:
             raise RuntimeError(
                 "reduction exceeded its polynomial event budget; "
                 "a rule is likely cycling")
+        if self.pending:
+            self._requeue(self._touched_by(event), self.local)
+
+    def _touched_by(self, event):
+        """Vertices whose sites' guards may read something the event changed.
+
+        A deleted vertex has lost its edges, so its former neighbours are
+        found as the endpoints of the removed edges, which events list.
+        """
+        adj = self.work.adj
+        touched = {*event.site, *event.selected, *event.excluded,
+                   *event.deleted, *event.made_nonpropagating}
+        for v in (*event.selected, *event.excluded,
+                  *event.made_nonpropagating):
+            touched |= adj[v]
+        for u, v in event.edges_added + event.edges_removed:
+            touched.add(u)
+            touched.add(v)
+            touched |= adj[u] & adj[v]
+            for end in (u, v):
+                # Degree-two guards read a neighbour's degree and its
+                # other neighbour.
+                if len(adj[end]) <= 2:
+                    touched |= adj[end]
+        return touched
+
+    def _requeue(self, vertices, rules):
+        """Put back the vertex sites in `vertices` and the edge sites at
+        them. Sites with a pre-selected vertex are left out: no local rule
+        fires there, and pre-selection is final. So is a vertex site whose
+        status its rule does not accept, since an event that changes a
+        status names the vertex and puts the site back then."""
+        work = self.work
+        status, adj = work.status, work.adj
+        live = [v for v in vertices if work.alive[v] and status[v] != PRE]
+        edges = None
+        for rule in rules:
+            pending = self.pending[rule]
+            if rule in _EDGE_SITE_RULES:
+                if edges is None:
+                    edges = [(min(v, w), max(v, w)) for v in live
+                             for w in adj[v] if status[w] != PRE]
+                for edge in edges:
+                    pending.add(edge)
+            else:
+                wanted = _SITE_STATUS[rule]
+                for v in live:
+                    if status[v] == wanted:
+                        pending.add(v)
+
+    def _requeue_observation_changes(self):
+        """Put back the observing rules' sites at vertices whose observation
+        changed since those rules last tested, and at their neighbours."""
+        observed = self.work.observed()
+        seen, self.tested_observed = self.tested_observed, observed
+        if seen is None or seen is observed:
+            return
+        changed = seen ^ observed
+        touched = set(changed)
+        for v in changed:
+            touched |= self.work.adj[v]
+        self._requeue(touched, [r for r in self.local
+                                if r in _OBSERVING_RULES])
 
     def _apply_checked(self, fn, site):
         if fn is _obse:
@@ -539,7 +649,7 @@ class _Driver:
 
     def _apply_obse(self, site):
         # ObsE may add as many edges as it removes, so its progress is
-        # checked on the observed pairs, which cost O(m log m) to count:
+        # checked on the observed pairs, which cost O(n + m) to count:
         # they are counted only where the guard holds.
         work = self.work
         if not _obse_holds(work, site):
@@ -585,28 +695,32 @@ class _Driver:
                         changed = True
                         break
 
+    def _fire_next(self):
+        """Fire the first local rule, in `LOCAL_RULES` order, whose guard
+        holds at a pending site, at its smallest such site. Sites that fail
+        are dropped; returns False when no pending site holds."""
+        work = self.work
+        for rule in self.local:
+            if rule in _OBSERVING_RULES:
+                self._requeue_observation_changes()
+            pending = self.pending[rule]
+            fn = _LOCAL_APPLY[rule]
+            edge_sites = rule in _EDGE_SITE_RULES
+            while pending:
+                site = pending.pop()
+                if edge_sites:
+                    live = site[1] in work.adj[site[0]]
+                else:
+                    live = work.alive[site]
+                if live and self._apply_checked(fn, site):
+                    return True
+        return False
+
     def local_round(self):
         """Exhaust the local rules; returns True if anything fired."""
-        enabled = [r for r in LOCAL_RULES if r in self.rules]
-        if not enabled:
-            return False
         fired_any = False
-        progress = True
-        while progress and not self._expired():
-            progress = False
-            for rule in enabled:
-                fn = _LOCAL_APPLY[rule]
-                for site in _sites(self.work, rule):
-                    if rule in (RuleId.TRI, RuleId.OBSE):
-                        ok = self._apply_checked(fn, site)
-                    else:
-                        ok = self.work.alive[site] and self._apply_checked(fn, site)
-                    if ok:
-                        progress = True
-                        fired_any = True
-                        break
-                if progress:
-                    break
+        while not self._expired() and self._fire_next():
+            fired_any = True
         return fired_any
 
     def dom_pass(self):
@@ -681,10 +795,14 @@ def apply_nonlocal(inst, rule):
 def reduce_full(inst, rules=None, deadline=None):
     """Full preprocessing: DFS pass, then {local, Dom, NecN} to fixpoint.
 
+    Local rounds run from the worklist of pending sites, which every
+    event of every pass feeds, and fire exactly the sequence that
+    rescanning all rules and sites from the first after each fire would.
+
     `rules` may be a RuleId iterable or one of the named subsets
     ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none').
     `deadline` is a `time.perf_counter()` value. It is checked between
-    the passes and at each restart of the local round; once it has
+    the passes and before every fire of a local rule; once it has
     passed, the kernel reached so far is returned. That kernel is still
     safe, because every applied event is. Returns (kernel, log, stats).
     """

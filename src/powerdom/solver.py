@@ -122,12 +122,13 @@ def greedy_complete(inst, h=()):
 
 
 def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
-                     deadline=None, report=None):
+                     deadline=None, report=None, incumbent=None):
     """Implicit hitting set loop for one (sub)instance.
 
     Intended for kernels but correct on any instance. `report(kind, value)`
     receives the same bound events that land in `trace`; values count the
-    instance's pre-selected vertices.
+    instance's pre-selected vertices. `incumbent` is `greedy_complete(sub)`
+    when the caller has it already.
     """
     t0 = time.perf_counter()
     if deadline is None and time_limit is not None:
@@ -159,8 +160,11 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
     universe = frozenset(sub.undecided())
     hs = HittingSetInstance(universe)
 
+    def expired():
+        return deadline is not None and time.perf_counter() > deadline
+
     def grow(hitting_set):
-        forts = find_forts(sub, hitting_set, seed=rng)
+        forts = find_forts(sub, hitting_set, seed=rng, deadline=deadline)
         before = len(hs)
         for fort in forts:
             if family.add(sub, fort):
@@ -168,17 +172,19 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
         if hs.infeasible_sets:
             raise InfeasibleInstanceError(
                 "a fort neighborhood contains no selectable vertex")
-        if len(hs) == before:
+        # A sweep the deadline cut short may find nothing new; the loop
+        # then returns TimedOut.
+        if len(hs) == before and not expired():
             raise AssertionError("fort generation added no new neighborhood")
 
     grow(frozenset())
-    best = greedy_complete(sub, ())
+    best = incumbent if incumbent is not None else greedy_complete(sub, ())
     emit("upper", len(best))
     lb_hint = 0
     solves = 0
     lower = x_size
     while True:
-        if deadline is not None and time.perf_counter() > deadline:
+        if expired():
             return result(TIMED_OUT, best, None, lower, len(best),
                           len(family), solves)
         try:
@@ -205,26 +211,29 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
         grow(hit)
 
 
-def _solve_part(sub, seed, time_limit):
+def _solve_part(sub, seed, time_limit, incumbent):
     trace = BoundsTrace()
-    res = ihs_kernel_solve(sub, seed=seed, time_limit=time_limit, trace=trace)
+    res = ihs_kernel_solve(sub, seed=seed, time_limit=time_limit, trace=trace,
+                           incumbent=incumbent)
     return res, [(kind, value) for _t, kind, value in trace.events]
 
 
 def _solve_parts_in_pool(tasks, jobs, deadline):
-    """`_solve_part` results for (sub, seed) tasks run in worker processes,
-    at most `jobs` at a time, each given the seconds left when it starts."""
+    """`_solve_part` results for (sub, seed, incumbent) tasks run in worker
+    processes, at most `jobs` at a time, each given the seconds left when
+    it starts."""
     results = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         running = {}
-        for k, (sub, seed) in enumerate(tasks):
+        for k, (sub, seed, incumbent) in enumerate(tasks):
             if len(running) == jobs:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in finished:
                     results[running.pop(future)] = future.result()
             left = (None if deadline is None
                     else max(0.0, deadline - time.perf_counter()))
-            running[pool.submit(_solve_part, sub, seed, left)] = k
+            running[pool.submit(_solve_part, sub, seed, left,
+                                incumbent)] = k
         for future, k in running.items():
             results[k] = future.result()
     return results
@@ -290,7 +299,8 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
     order = sorted(range(len(parts)), key=lambda i: -parts[i].n)
     if jobs > 1 and len(order) > 1:
         outcomes = _solve_parts_in_pool(
-            [(parts[i], seeds[i]) for i in order], jobs, deadline)
+            [(parts[i], seeds[i], solutions[i]) for i in order], jobs,
+            deadline)
         for i, (_res, events) in zip(order, outcomes):
             for kind, value in events:
                 report(i)(kind, value)
@@ -302,7 +312,8 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
                 break
             results.append(ihs_kernel_solve(parts[i], seed=seeds[i],
                                             deadline=deadline,
-                                            report=report(i)))
+                                            report=report(i),
+                                            incumbent=solutions[i]))
     fort_count = hs_solves = 0
     for i, res in zip(order, results):
         fort_count += res.fort_count

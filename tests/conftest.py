@@ -28,6 +28,17 @@ def complete_graph(n, **kw):
     return PdsInstance(n, edges, **kw)
 
 
+def grid_graph(side, copies=1):
+    """`copies` disjoint side x side grids."""
+    grid = [(r * side + c, r * side + c + 1) for r in range(side)
+            for c in range(side - 1)]
+    grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1)
+             for c in range(side)]
+    k = side * side
+    return PdsInstance(copies * k, [(u + i * k, v + i * k)
+                                    for i in range(copies) for u, v in grid])
+
+
 def disjoint_stars(count, leaves=3):
     edges = []
     step = leaves + 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,13 @@ def test_find_forts_deterministic():
 def test_find_forts_empty_when_solved():
     p3 = path_graph(3, pre_selected=[1])
     assert find_forts(p3, frozenset(), seed=0) == []
+
+
+def test_find_forts_stops_at_the_deadline():
+    inst = path_graph(6)
+    assert find_forts(inst, frozenset(), seed=0)
+    assert find_forts(inst, frozenset(), seed=0,
+                      deadline=time.perf_counter() - 1) == []
 
 
 def test_find_forts_infeasible():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from powerdom import (LOCAL_RULES, Circuit, PdsInstance, RuleId,
@@ -7,8 +9,8 @@ from powerdom import (LOCAL_RULES, Circuit, PdsInstance, RuleId,
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 
-from conftest import (complete_graph, oracle_gamma, path_graph, random_instance,
-                      rule_pattern_instance, star_graph)
+from conftest import (complete_graph, gridlike_graph, oracle_gamma, path_graph,
+                      random_instance, rule_pattern_instance, star_graph)
 
 
 # --- single rules on hand-built sites --------------------------------------
@@ -255,6 +257,67 @@ def test_rule_pattern_generators_fire():
             res = apply_rule_once(inst, rule, site)
             assert res.changed, f"{rule.value} guard failed at seed {seed}"
             assert oracle_gamma(res.instance) == oracle_gamma(inst)
+
+
+# --- the worklist keeps the restart firing order ----------------------------
+
+
+class _RestartDriver(reductions._Driver):
+    """Reference local round: fire the first (rule, site) in LOCAL_RULES x
+    `_sites` order whose guard holds, then start over."""
+
+    def local_round(self):
+        work, fired = self.work, False
+        enabled = [r for r in LOCAL_RULES if r in self.rules]
+        while True:
+            for rule, site in ((r, s) for r in enabled
+                               for s in reductions._sites(work, r)):
+                if isinstance(site, int) and not work.alive[site]:
+                    continue
+                event = reductions._LOCAL_APPLY[rule](work, site)
+                if event is not None:
+                    self._record(event)
+                    fired = True
+                    break
+            else:
+                return fired
+
+
+def _shuffled(inst, seed):
+    perm = list(range(inst.n))
+    random.Random(seed).shuffle(perm)
+    propagating = [True] * inst.n
+    for v in range(inst.n):
+        propagating[perm[v]] = inst.propagating[v]
+    return PdsInstance(inst.n, [(perm[u], perm[v]) for u, v in inst.edges],
+                       propagating)
+
+
+def test_worklist_keeps_the_restart_firing_order(small_corpus):
+    chains = [Circuit([("x0", ("in", ())), ("out", ("out", ("x0",)))]),
+              Circuit([("x0", ("in", ())), ("g0", ("or", ("x0",))),
+                       ("out", ("out", ("g0",)))]),
+              Circuit([("x0", ("in", ())), ("x1", ("in", ())),
+                       ("g0", ("and", ("x0", "x1"))),
+                       ("out", ("out", ("g0",)))])]
+    corpus = ([inst for inst, _ in small_corpus]
+              + [random_instance(seed, n_max=20, m_max=40, x_max=3, y_max=4)
+                 for seed in range(100)]
+              + [full_chain_detailed(c).instance for c in chains]
+              + [_shuffled(gridlike_graph(n, gen_seed), 0)
+                 for n in (40, 60) for gen_seed in range(1, 7)])
+    for inst in corpus:
+        kernel, log = apply_local_exhaustive(inst)
+        ref = _RestartDriver(inst, LOCAL_RULES)
+        ref.local_round()
+        assert log.events == ref.events
+        assert log.kernel_to_original == ref.work.snapshot()[1]
+        for subset in ("all", "local", "local+dom", "local+necn"):
+            _, log, _ = reduce_full(inst, subset)
+            ref = _RestartDriver(inst, reductions.RULE_SUBSETS[subset])
+            ref.run()
+            assert log.events == ref.events, subset
+            assert log.kernel_to_original == ref.work.snapshot()[1], subset
 
 
 # --- invariant checks on every fire -----------------------------------------

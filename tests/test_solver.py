@@ -10,8 +10,9 @@ from powerdom.errors import InfeasibleInstanceError
 from powerdom.hittingset import HittingSetTimeout
 from powerdom.solver import BoundsTrace
 
-from conftest import (cycle_graph, disjoint_stars, gridlike_graph,
-                      oracle_gamma, path_graph, random_instance, star_graph)
+from conftest import (cycle_graph, disjoint_stars, grid_graph,
+                      gridlike_graph, oracle_gamma, path_graph,
+                      random_instance, star_graph)
 
 SUBSETS = ("all", "local", "nonlocal", "local+dom", "local+necn", "none")
 
@@ -230,14 +231,7 @@ def test_jobs_time_limit_bounds_the_workers():
     # Each 12x12 grid alone takes longer than the limit with no
     # reductions. Two run in workers at once and must stop in time; the
     # third waits for a free worker and gets only the time left then.
-    side = 12
-    grid = [(r * side + c, r * side + c + 1) for r in range(side)
-            for c in range(side - 1)]
-    grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1)
-             for c in range(side)]
-    k = side * side
-    inst = PdsInstance(3 * k, [(u + i * k, v + i * k) for i in range(3)
-                               for u, v in grid])
+    inst = grid_graph(12, copies=3)
     limit = 2.0
     t0 = time.perf_counter()
     res = solve(inst, reductions="none", jobs=2, time_limit=limit)
@@ -260,5 +254,29 @@ def test_time_limit_bounds_the_reduction():
     assert wall <= limit + 1.0
     assert res.status == TIMED_OUT
     assert res.solution is not None
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+    assert res.lower_bound <= len(res.solution) == res.upper_bound
+
+
+def test_time_limit_bounds_fort_generation():
+    # One fort sweep over this grid takes about a second with no
+    # reductions, so the solve must stop inside a sweep.
+    inst = grid_graph(20)
+    limit = 3.0
+    t0 = time.perf_counter()
+    res = solve(inst, reductions="none", time_limit=limit)
+    wall = time.perf_counter() - t0
+    assert wall <= limit + 0.5
+    assert res.status == TIMED_OUT
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+    assert res.lower_bound <= len(res.solution) == res.upper_bound
+
+
+def test_fort_sweep_cut_before_any_fort_times_out():
+    # The sweep stops before its first fort, so nothing new is added;
+    # that is a timeout, not a fort generation failure.
+    inst = grid_graph(6)
+    res = ihs_kernel_solve(inst, deadline=time.perf_counter())
+    assert res.status == TIMED_OUT and res.fort_count == 0
     assert len(observed_set(inst, res.solution.selected)) == inst.n
     assert res.lower_bound <= len(res.solution) == res.upper_bound
