@@ -1,11 +1,19 @@
 """Brute-force oracles: ground truth for every other part of the toolkit.
 
 Everything here is deliberately naive subset enumeration on top of a
-self-contained observation fixpoint. No code is shared with the
+self-contained observation closure. No code is shared with the
 incremental engine or the solver, so these results are an independent
-check of both. Observed sets are plain integer bitmasks; the observation
-closure is a monotone idempotent operator, so candidate selections can
-be seeded with the union of precomputed single-vertex closures.
+check of both.
+
+The closure works on edge arrays. Each round counts every vertex's
+unobserved neighbours with one `np.bincount` over the directed edges,
+lets each observed propagating vertex with exactly one of them observe
+it, and lets the observed tail of every arc observe its head; a booster
+edge is an arc each way and an implication arc is one arc. Every rule is
+monotone, so applying them all in one batched round is sound, and plain
+instances are the special case with no arcs. The closure is also
+idempotent, so candidate selections are seeded with the union of
+precomputed single-vertex closures.
 """
 
 from __future__ import annotations
@@ -18,55 +26,62 @@ from .errors import GuardExceededError, InfeasibleInstanceError
 from .instance import SolutionSet
 
 
-class _DenseRules:
-    """Observation rules over a dense adjacency matrix.
+def _pairs(pairs):
+    """(tails, heads) arrays of a list of vertex pairs."""
+    array = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return array[:, 0], array[:, 1]
 
-    One fixpoint round computes every vertex's unobserved-neighbor count
-    with a matrix-vector product and applies all enabled propagations at
-    once; the rules are monotone, so batching them is sound.
-    """
+
+class _Closure:
+    """Observation closure of one instance, over directed edge arrays."""
 
     def __init__(self, inst):
-        n = inst.n
-        self.n = n
-        self.adj_bool = np.zeros((n, n), dtype=bool)
-        for u, v in inst.edges:
-            self.adj_bool[u, v] = True
-            self.adj_bool[v, u] = True
-        self.adj_int = self.adj_bool.astype(np.int32)
+        self.n = inst.n
+        edges = sorted(inst.edges)
+        self.src, self.dst = _pairs(edges + [(v, u) for u, v in edges])
         self.propagating = np.array(inst.propagating, dtype=bool)
+        boosters = sorted(getattr(inst, "booster_edges", ()))
+        self.tail, self.head = _pairs(
+            boosters + [(v, u) for u, v in boosters]
+            + list(getattr(inst, "implication_arcs", ())))
 
     def seed(self, selected):
-        obs = np.zeros(self.n, dtype=bool)
-        for s in selected:
-            obs[s] = True
-            obs |= self.adj_bool[s]
+        """Selected vertices and their neighbours."""
+        chosen = np.zeros(self.n, dtype=bool)
+        chosen[list(selected)] = True
+        obs = chosen.copy()
+        obs[self.dst[chosen[self.src]]] = True
         return obs
 
     def fixpoint(self, obs):
+        """Close `obs` under propagation and the arcs; `obs` is not changed."""
         while True:
             unobs = ~obs
-            if not unobs.any():
-                return obs
-            counts = self.adj_int @ unobs.astype(np.int32)
+            pending = unobs[self.dst]
+            counts = np.bincount(self.src[pending], minlength=self.n)
             sources = obs & self.propagating & (counts == 1)
-            if not sources.any():
+            targets = np.concatenate([
+                self.dst[pending & sources[self.src]],
+                self.head[obs[self.tail] & unobs[self.head]]])
+            if not targets.size:
                 return obs
-            targets = unobs & self.adj_bool[sources].any(axis=0)
-            obs = obs | targets
+            obs = obs.copy()
+            obs[targets] = True
 
     def observed(self, selected):
         return self.fixpoint(self.seed(selected))
 
 
 def observed_set(inst, selected):
-    """Fixpoint of the domination and propagation rules, as a frozenset."""
-    obs = _DenseRules(inst).observed(selected)
+    """Fixpoint of the domination, propagation, booster and implication
+    rules, as a frozenset. Instances without booster edges or implication
+    arcs are the plain special case."""
+    obs = _Closure(inst).observed(selected)
     return frozenset(np.flatnonzero(obs).tolist())
 
 
 def is_power_dominating(inst, selected):
-    return bool(_DenseRules(inst).observed(selected).all())
+    return bool(_Closure(inst).observed(selected).all())
 
 
 def oracle_pds(inst, k_max=None, max_undecided=25):
@@ -77,10 +92,8 @@ def oracle_pds(inst, k_max=None, max_undecided=25):
     InfeasibleInstanceError when no solution exists (within k_max, if
     given). `max_undecided` guards against exponential blowup; pass None
     together with a k_max to bound the enumeration by size instead.
-
-    The observation closure is a monotone idempotent operator, so each
-    candidate is seeded with the union of precomputed per-vertex closures
-    before the final fixpoint run.
+    Booster edges and implication arcs are honoured when the instance has
+    them.
     """
     undecided = inst.undecided()
     if max_undecided is not None and len(undecided) > max_undecided:
@@ -96,7 +109,7 @@ def oracle_pds(inst, k_max=None, max_undecided=25):
                 f"pre-selected set alone exceeds k_max={k_max}")
         t_cap = min(t_cap, k_max - len(base))
 
-    rules = _DenseRules(inst)
+    rules = _Closure(inst)
     closure = {v: rules.observed([v]) for v in undecided}
     base_obs = rules.observed(base)
     for t in range(t_cap + 1):
@@ -110,64 +123,10 @@ def oracle_pds(inst, k_max=None, max_undecided=25):
         "no feasible solution" + (f" of size <= {k_max}" if k_max is not None else ""))
 
 
-def ipds_observed_set(ipds, selected):
-    """Fixpoint under domination, propagation, booster and implication rules.
-
-    Repeated-scan implementation; fine for the tiny instances the
-    hardness-chain tests use. Plain instances (no booster/arc fields) are
-    accepted, since they are the special case with both sets empty.
-    """
-    boosters = getattr(ipds, "booster_edges", ())
-    arcs = getattr(ipds, "implication_arcs", ())
-    observed = [False] * ipds.n
-    for s in selected:
-        observed[s] = True
-        for w in ipds.adj[s]:
-            observed[w] = True
-    changed = True
-    while changed:
-        changed = False
-        for u in range(ipds.n):
-            if not observed[u]:
-                continue
-            if ipds.propagating[u]:
-                unobs = [w for w in ipds.adj[u] if not observed[w]]
-                if len(unobs) == 1:
-                    observed[unobs[0]] = True
-                    changed = True
-        for u, v in boosters:
-            if observed[u] != observed[v]:
-                observed[u] = observed[v] = True
-                changed = True
-        for u, v in arcs:
-            if observed[u] and not observed[v]:
-                observed[v] = True
-                changed = True
-    return frozenset(v for v in range(ipds.n) if observed[v])
-
-
-def oracle_ipds(ipds, k_max=None, max_undecided=25):
-    """Exact optimum for instances with booster edges and implication arcs."""
-    undecided = ipds.undecided()
-    if max_undecided is not None and len(undecided) > max_undecided:
-        raise GuardExceededError(
-            f"{len(undecided)} undecided vertices exceed guard {max_undecided}")
-    if max_undecided is None and k_max is None:
-        raise GuardExceededError("need k_max when the size guard is disabled")
-    base = frozenset(ipds.pre_selected)
-    t_cap = len(undecided)
-    if k_max is not None:
-        if len(base) > k_max:
-            raise InfeasibleInstanceError(
-                f"pre-selected set alone exceeds k_max={k_max}")
-        t_cap = min(t_cap, k_max - len(base))
-    for t in range(t_cap + 1):
-        for extra in combinations(undecided, t):
-            sel = base | frozenset(extra)
-            if len(ipds_observed_set(ipds, sel)) == ipds.n:
-                return len(sel), SolutionSet(sel)
-    raise InfeasibleInstanceError(
-        "no feasible solution" + (f" of size <= {k_max}" if k_max is not None else ""))
+# Booster edges and implication arcs need no second oracle; the hardness
+# chain keeps its names for the same two functions.
+ipds_observed_set = observed_set
+oracle_ipds = oracle_pds
 
 
 def _is_fort(inst, subset):

@@ -2,7 +2,7 @@
 
 Instances only ever grow (sets are added, never removed), so the optimum
 of an earlier instance is a valid lower bound for any later one. The
-exact solver exploits that through lower/upper bound hints.
+exact solver exploits that through a lower bound hint.
 
 Every node of the exact search first reduces its family of unhit sets to
 a kernel (Weihe, "Covering trains by stations or the power of data
@@ -28,8 +28,8 @@ class HittingSetInstance:
 
     Sets are intersected with the universe on entry; an intersection that
     comes up empty makes the instance infeasible and is reported when
-    solving. Duplicate sets are dropped, supersets of existing sets are
-    kept but flagged as dominated.
+    solving. Duplicate sets are dropped; supersets of existing sets are
+    kept, and the exact search drops them from its kernels.
     """
 
     def __init__(self, universe, sets=(), forced=()):
@@ -52,16 +52,6 @@ class HittingSetInstance:
             self._seen.add(cut)
             self.sets.append(cut)
         return self
-
-    def dominated_indices(self):
-        """Indices of sets that are supersets of some other set."""
-        out = []
-        for i, s in enumerate(self.sets):
-            for j, t in enumerate(self.sets):
-                if i != j and t < s:
-                    out.append(i)
-                    break
-        return out
 
     def __len__(self):
         return len(self.sets)
@@ -201,7 +191,7 @@ def _branch(sets, limit, floor, deadline):
     return None if best is None else (best, limit)
 
 
-def solve_exact(hs, lower_bound_hint=0, upper_bound_hint=None, deadline=None):
+def solve_exact(hs, lower_bound_hint=0, deadline=None):
     """Minimum hitting set by branch and bound on kernels, starting from the
     greedy hitting set. Each node reduces its unhit sets (see the module
     docstring) and solves each component within the budget the others'
@@ -211,9 +201,9 @@ def solve_exact(hs, lower_bound_hint=0, upper_bound_hint=None, deadline=None):
 
     Returns (hitting set, size). `lower_bound_hint` may come from a
     previous solve of a subset family (the optimum only grows when sets
-    are added) and ends the search once reached; `upper_bound_hint` is
-    checked against the result. Past the `time.perf_counter()` value
-    `deadline`, the next branching node raises `HittingSetTimeout`.
+    are added) and ends the search once reached. Past the
+    `time.perf_counter()` value `deadline`, the next branching node raises
+    `HittingSetTimeout`.
     """
     if hs.infeasible_sets:
         raise InfeasibleInstanceError("family contains an unhittable set")
@@ -228,7 +218,4 @@ def solve_exact(hs, lower_bound_hint=0, upper_bound_hint=None, deadline=None):
         if got is not None:
             best_mask = forced | got[0]
     out = frozenset(elems[i] for i in range(len(elems)) if best_mask >> i & 1)
-    if upper_bound_hint is not None and len(out) > upper_bound_hint:
-        raise AssertionError(
-            f"optimum {len(out)} exceeds caller's upper bound {upper_bound_hint}")
     return out, len(out)

@@ -81,19 +81,32 @@ class SolveResult:
     seed: int = 0
 
 
-def greedy_complete(inst, h=()):
+def greedy_complete(inst, h=(), deadline=None):
     """Extend h plus the pre-selected set to a feasible solution, then prune.
 
     Repeatedly selects the undecided vertex covering the most unobserved
     vertices in its closed neighborhood (ties: more unobserved propagating
     ones, then lowest id), then drops added vertices in reverse addition
     order while feasibility holds. The given h is never pruned.
+
+    The `time.perf_counter()` value `deadline` is checked before every
+    pick but the first, so an instance one vertex observes still gets it.
+    Once the deadline has passed, every remaining undecided vertex is
+    selected in one step and nothing is pruned; that set is feasible
+    exactly when the instance is.
     """
     base = frozenset(h) | inst.pre_selected
     state = observe_from(inst, base)
     decided = inst.pre_selected | inst.excluded
     added = []
     while not state.is_complete():
+        if (added and deadline is not None
+                and time.perf_counter() > deadline):
+            everything = base | frozenset(inst.undecided())
+            if not observe_from(inst, everything).is_complete():
+                raise InfeasibleInstanceError(
+                    "the undecided vertices together leave a vertex unobserved")
+            return SolutionSet(everything)
         best = None
         best_key = None
         for v in range(inst.n):
@@ -178,7 +191,8 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
             raise AssertionError("fort generation added no new neighborhood")
 
     grow(frozenset())
-    best = incumbent if incumbent is not None else greedy_complete(sub, ())
+    best = (incumbent if incumbent is not None
+            else greedy_complete(sub, (), deadline=deadline))
     emit("upper", len(best))
     lb_hint = 0
     solves = 0
@@ -202,7 +216,8 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
         if observe_from(sub, sub.pre_selected | hit).is_complete():
             best = SolutionSet(frozenset(sub.pre_selected | hit))
         elif lower < len(best):
-            best = min(best, greedy_complete(sub, hit), key=len)
+            best = min(best, greedy_complete(sub, hit, deadline=deadline),
+                       key=len)
         emit("upper", len(best))
         if lower == len(best):
             # Bound sandwich: the incumbent is optimal.
@@ -274,7 +289,8 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
     # when the part is infeasible. Bounds are kept per part beyond its
     # inherited X: a part X does not already observe needs one more vertex.
     try:
-        solutions = [greedy_complete(part) for part in parts]
+        solutions = [greedy_complete(part, deadline=deadline)
+                     for part in parts]
     except InfeasibleInstanceError:
         return result(INFEASIBLE, None, None, 0, None, 0, 0)
     part_x = [len(part.pre_selected) for part in parts]

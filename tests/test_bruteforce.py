@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from powerdom import (PdsInstance, enumerate_minimal_forts, is_power_dominating,
@@ -6,7 +8,8 @@ from powerdom.bruteforce import observed_set
 from powerdom.errors import GuardExceededError, InfeasibleInstanceError
 from powerdom.hardness import IpdsInstance
 
-from conftest import path_graph, random_instance, star_graph
+from conftest import (gridlike_graph, path_graph, random_instance,
+                      random_ipds_instance, star_graph)
 
 
 def test_oracle_p5():
@@ -68,6 +71,51 @@ def test_oracle_isomorphism_invariance():
 def test_observed_set_examples():
     assert observed_set(path_graph(3), {0}) == {0, 1, 2}
     assert observed_set(star_graph(3), {1}) == {0, 1}
+
+
+def _first_firing(inst, selected, observed):
+    """The vertex the first applicable rule would observe, or None."""
+    for s in sorted(selected):  # domination
+        for w in (s, *inst.adj[s]):
+            if w not in observed:
+                return w
+    for u in sorted(observed):  # propagation
+        unobserved = [w for w in inst.adj[u] if w not in observed]
+        if inst.propagating[u] and len(unobserved) == 1:
+            return unobserved[0]
+    for u, v in sorted(getattr(inst, "booster_edges", ())):
+        if (u in observed) != (v in observed):
+            return v if u in observed else u
+    for u, v in getattr(inst, "implication_arcs", ()):
+        if u in observed and v not in observed:
+            return v
+    return None
+
+
+def reference_observed(inst, selected):
+    """Fire one rule at a time until none observes anything new."""
+    observed = set()
+    while (w := _first_firing(inst, selected, observed)) is not None:
+        observed.add(w)
+    return observed
+
+
+def test_closure_matches_one_firing_at_a_time():
+    rng = random.Random(0)
+    for seed in range(300):
+        inst = random_ipds_instance(seed)
+        selections = [{v} for v in range(inst.n)] + [
+            set(rng.sample(range(inst.n), rng.randint(0, inst.n)))
+            for _ in range(3)]
+        for sel in selections:
+            assert observed_set(inst, sel) == reference_observed(inst, sel)
+    for seed in range(1, 6):
+        inst = gridlike_graph(60, seed)
+        for size in (1, 2, 4, 8, 16):
+            sel = set(rng.sample(range(inst.n), size))
+            expected = reference_observed(inst, sel)
+            assert observed_set(inst, sel) == expected
+            assert is_power_dominating(inst, sel) == (len(expected) == inst.n)
 
 
 def test_oracle_ipds_arc_directions():

@@ -65,8 +65,7 @@ def test_add_sets_dedupe_and_dominated():
     hs.add_sets([{2, 1}])
     assert len(hs) == 1  # duplicate dropped
     hs.add_sets([{1, 2, 3}])
-    assert len(hs) == 2  # superset kept but dominated
-    assert hs.dominated_indices() == [1]
+    assert len(hs) == 2  # superset kept
     assert solve_exact(hs)[1] == 1
 
 

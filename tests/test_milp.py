@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 
-from powerdom import (HittingSetInstance, build_fort_ilp, build_hitting_set_ilp,
+from powerdom import (OPTIMAL, HittingSetInstance, build_fort_ilp, build_hitting_set_ilp,
                       build_pds_milp, check_model_by_enumeration, parse_lp,
-                      write_lp)
+                      solve, write_lp)
 from powerdom.errors import (GuardExceededError, InfeasibleInstanceError,
                              ParseError)
 from powerdom.instance import PdsInstance
 
-from conftest import oracle_gamma, path_graph, random_instance, star_graph
+from conftest import (gridlike_graph, oracle_gamma, path_graph,
+                      random_instance, star_graph)
 
 
 def test_pds_model_domination_row_count():
@@ -124,3 +126,46 @@ def test_lp_parser_rejects_junk():
         parse_lp("Minimize\n obj: x_0\nSubject To\n garbage row\nEnd\n")
     with pytest.raises(ParseError):
         parse_lp("nonsense before sections\n")
+
+
+def highs_optimum(model):
+    """Optimal objective of a MilpModel, solved by HiGHS through scipy."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    names = list(model.variables)
+    index = {name: i for i, name in enumerate(names)}
+    cost = np.zeros(len(names))
+    for name, coef in model.objective:
+        cost[index[name]] += coef
+    rows, cols, vals, lower, upper = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        for name, coef in con.coeffs:
+            rows.append(r)
+            cols.append(index[name])
+            vals.append(coef)
+        lower.append(-np.inf if con.sense == "<=" else con.rhs)
+        upper.append(np.inf if con.sense == ">=" else con.rhs)
+    matrix = coo_array((vals, (rows, cols)),
+                       shape=(len(model.constraints), len(names))).tocsr()
+    variables = [model.variables[name] for name in names]
+    res = milp(cost, constraints=LinearConstraint(matrix, lower, upper),
+               integrality=np.array([v.kind == "binary" for v in variables],
+                                    dtype=np.uint8),
+               bounds=Bounds([v.lb for v in variables],
+                             [v.ub for v in variables]))
+    assert res.status == 0, res.message
+    return int(round(res.fun))
+
+
+@pytest.mark.parametrize("n, reductions",
+                         [(100, "none"), (150, "all"), (200, "all")])
+def test_solve_matches_highs_above_the_oracle_range(n, reductions):
+    # The exported MILP shares no code with the reductions, forts, hitting
+    # set or IHS loop, so HiGHS checks optima the brute-force oracle
+    # cannot reach.
+    pytest.importorskip("scipy.optimize")
+    inst = gridlike_graph(n, 1)
+    res = solve(inst, reductions=reductions)
+    assert res.status == OPTIMAL
+    assert res.gamma_p == highs_optimum(build_pds_milp(inst))

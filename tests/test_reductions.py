@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -220,6 +221,30 @@ def test_reduce_full_termination_budget():
         inst = random_instance(seed, n_max=14, m_max=26)
         _, log, _ = reduce_full(inst)
         assert len(log.events) <= 8 * (inst.n + inst.m + 2) ** 2 + 64
+
+
+def test_passed_deadline_leaves_only_the_dfs_pass(small_corpus):
+    # The DFS pass runs before the first deadline check, so a deadline
+    # that has already passed leaves exactly its events: Deg1a, Deg1b and
+    # Deg2a, the start of the full reduction's sequence.
+    passed = time.perf_counter() - 1.0
+    dfs_rules = {RuleId.DEG1A, RuleId.DEG1B, RuleId.DEG2A}
+    for seed in range(1, 4):
+        inst = gridlike_graph(60, seed)
+        _, log, _ = reduce_full(inst, deadline=passed)
+        _, full, _ = reduce_full(inst)
+        assert log.events and {e.rule for e in log.events} <= dfs_rules
+        assert {e.rule for e in full.events} - dfs_rules
+        assert log.events == full.events[:len(log.events)]
+    # The cut kernel is still safe.
+    for inst, gamma in small_corpus:
+        kernel, log, _ = reduce_full(inst, deadline=passed)
+        assert {e.rule for e in log.events} <= dfs_rules
+        try:
+            reduced = len(lift_solution(log, oracle_pds(kernel)[1]))
+        except InfeasibleInstanceError:
+            reduced = None
+        assert reduced == gamma
 
 
 def test_lift_identity_and_select_events():

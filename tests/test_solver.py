@@ -81,6 +81,23 @@ def test_greedy_infeasible():
         greedy_complete(PdsInstance(1, excluded=[0]))
 
 
+def test_greedy_past_its_deadline_selects_every_undecided_vertex():
+    passed = time.perf_counter() - 1.0
+    inst = disjoint_stars(3).replace(pre_selected=[0], excluded=[5])
+    assert greedy_complete(inst, h={1}).selected == {0, 1, 4, 8}
+    # One pick, then every undecided vertex at once and no prune.
+    sol = greedy_complete(inst, h={1}, deadline=passed)
+    assert sol.selected == set(range(12)) - {5}
+    assert len(observed_set(inst, sol.selected)) == inst.n
+    # The first pick is always made: one vertex that completes the
+    # instance is still found.
+    assert greedy_complete(inst, h={8}, deadline=passed).selected == {0, 4, 8}
+    # An isolated excluded vertex stays unobserved: still infeasible.
+    lone = PdsInstance(4, [(0, 1), (1, 2)], excluded=[3])
+    with pytest.raises(InfeasibleInstanceError, match="together"):
+        greedy_complete(lone, deadline=passed)
+
+
 def test_solver_matches_oracle_all_subsets(small_corpus):
     for inst, gamma in small_corpus:
         for subset in SUBSETS:
@@ -243,9 +260,12 @@ def test_jobs_time_limit_bounds_the_workers():
 
 
 def test_time_limit_bounds_the_reduction():
-    # All rules take about 4 s to reduce this graph to its fixpoint on a
-    # 2-core x86 machine, well over ten times the limit; the solve must
-    # stop reducing at the deadline and still return a feasible solution.
+    # All rules take about 1.2 s to reduce this graph to its fixpoint on a
+    # 2-core x86 machine, four times the limit; the solve must stop
+    # reducing at the deadline and still return a feasible solution. The
+    # reduction's own deadline check is pinned, independent of machine
+    # speed, by test_passed_deadline_leaves_only_the_dfs_pass in
+    # test_reductions.py.
     inst = gridlike_graph(1200, 1)
     limit = 0.3
     t0 = time.perf_counter()
