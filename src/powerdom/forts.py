@@ -66,20 +66,18 @@ def minimize_fort(inst, fort, pool, selected=()):
 
 def _reselect(state, pool, deadline=None):
     """Select each unselected pool vertex in ascending id order unless that
-    completes the state, stopping once the deadline has passed; returns the
-    vertices kept selected."""
-    kept = []
+    completes the state, stopping once the deadline has passed. A select
+    that completes the state is rolled back; each kept one leaves its
+    checkpoint open."""
     for p in sorted(pool):
         if deadline is not None and time.perf_counter() > deadline:
             break
         if p in state.selected:
             continue
+        mark = state.checkpoint()
         state.select(p)
         if state.is_complete():
-            state.deselect(p)
-        else:
-            kept.append(p)
-    return kept
+            state.rollback(mark)
 
 
 class FortFamily:
@@ -115,9 +113,10 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     candidate (all of H, X and U selected), vertices of U are swept out one at a time
     in a seeded random order; a removal that breaks the solution emits the
     unobserved set as a fort (minimized against the removed pool) and is
-    undone on the next step. Every emitted fort neighborhood is disjoint
-    from H and X, and at least one fort is returned whenever H with X is not
-    already a solution.
+    undone on the next step. The re-selections that minimize a fort are
+    undone by rolling back to a checkpoint taken before them. Every
+    emitted fort neighborhood is disjoint from H and X, and at least one
+    fort is returned whenever H with X is not already a solution.
 
     Randomness comes from numpy's PCG64 generator, so a fixed seed
     reproduces the fort list on any platform. Once the `perf_counter`
@@ -149,10 +148,10 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
         prev_was_solution = state.is_complete()
         if prev_was_solution:
             continue
-        kept = _reselect(state, removed - {u}, deadline)
+        mark = state.checkpoint()
+        _reselect(state, removed - {u}, deadline)
         fort = state.unobserved_vertices()
-        for p in kept:
-            state.deselect(p)
+        state.rollback(mark)
         if fort not in seen:
             seen.add(fort)
             forts.append(fort)

@@ -12,6 +12,14 @@ vertex carries a witness (selected itself / dominated by s / propagated
 from u); deselection invalidates exactly the observations whose
 derivation passed through the removed vertex and then re-propagates, so
 the state always equals a from-scratch recomputation.
+
+A caller that only tries selections and takes them back can instead open
+a checkpoint and roll back to it. While a checkpoint is open, every
+select and every vertex it newly observes is recorded on a trail;
+rollback undoes the trail in reverse, which restores the state exactly
+as it was at the checkpoint in time proportional to the work undone,
+without the invalidate-and-repair of deselect. Deselect is not allowed
+while a checkpoint is open, because the trail cannot undo it.
 """
 
 from __future__ import annotations
@@ -27,10 +35,16 @@ class ObservationState:
     The graph is anything with `n`, `adj`, `propagating` and `degree(v)`,
     such as a `PdsInstance` or the reduction work state. Its edges and
     propagating flags must not change while the state is in use.
+
+    `checkpoint()` opens a checkpoint and returns its mark; `rollback(mark)`
+    restores the state to what it was when that checkpoint was opened and
+    closes it together with every checkpoint opened after it. Checkpoints
+    nest, and one that is never rolled back stays open until an enclosing
+    one is. `deselect` raises while any checkpoint is open.
     """
 
     __slots__ = ("inst", "selected", "observed", "witness", "prop_children",
-                 "unobs_count", "observed_count")
+                 "unobs_count", "observed_count", "_trail", "_levels")
 
     def __init__(self, inst):
         self.inst = inst
@@ -40,6 +54,11 @@ class ObservationState:
         self.prop_children = [set() for _ in range(inst.n)]
         self.unobs_count = [inst.degree(v) for v in range(inst.n)]
         self.observed_count = 0
+        # Undo records while a checkpoint is open: a marked vertex as its
+        # id, a select as (vertex, its witness before the select).
+        # `_levels` holds each open checkpoint's trail length.
+        self._trail = []
+        self._levels = []
 
     def is_complete(self):
         return self.observed_count == self.inst.n
@@ -59,6 +78,8 @@ class ObservationState:
         self.observed[v] = True
         self.witness[v] = witness
         self.observed_count += 1
+        if self._levels:
+            self._trail.append(v)
         prop = self.inst.propagating
         for u in self.inst.adj[v]:
             self.unobs_count[u] -= 1
@@ -84,6 +105,14 @@ class ObservationState:
         if w is not None and w[0] == "prop":
             self.prop_children[w[1]].discard(v)
 
+    def _unmark(self, v):
+        self._unlink(v)
+        self.observed[v] = False
+        self.witness[v] = None
+        self.observed_count -= 1
+        for u in self.inst.adj[v]:
+            self.unobs_count[u] += 1
+
     # -- public operations -------------------------------------------------
 
     def select(self, v):
@@ -91,6 +120,8 @@ class ObservationState:
         if v in self.selected:
             raise ValueError(f"vertex {v} already selected")
         self.selected.add(v)
+        if self._levels:
+            self._trail.append((v, self.witness[v]))
         queue = deque()
         if self.observed[v]:
             self._unlink(v)
@@ -107,6 +138,8 @@ class ObservationState:
         """Remove v, invalidate observations derived through it, re-propagate."""
         if v not in self.selected:
             raise ValueError(f"vertex {v} is not selected")
+        if self._levels:
+            raise RuntimeError("deselect while a checkpoint is open")
         self.selected.discard(v)
         # Invalidation closure. A propagation witness (u -> w) depends on u
         # and on all other neighbors of u being observed, so unobserving t
@@ -117,12 +150,7 @@ class ObservationState:
         def invalidate(t):
             if not self.observed[t]:
                 return
-            self._unlink(t)
-            self.observed[t] = False
-            self.witness[t] = None
-            self.observed_count -= 1
-            for u in self.inst.adj[t]:
-                self.unobs_count[u] += 1
+            self._unmark(t)
             invalid.append(t)
             pending.append(t)
 
@@ -159,6 +187,30 @@ class ObservationState:
             if self.observed[t]:
                 queue.append(t)
         self._propagate(queue)
+        return self
+
+    def checkpoint(self):
+        """Open a checkpoint; returns the mark to roll back to."""
+        self._levels.append(len(self._trail))
+        return len(self._levels) - 1
+
+    def rollback(self, mark):
+        """Undo every select since checkpoint `mark` was opened, and close
+        it with every checkpoint opened after it."""
+        start = self._levels[mark]
+        del self._levels[mark:]
+        trail = self._trail
+        while len(trail) > start:
+            entry = trail.pop()
+            if entry.__class__ is tuple:
+                v, witness = entry
+                self.selected.discard(v)
+                if witness is not None:
+                    self.witness[v] = witness
+                    if witness[0] == "prop":
+                        self.prop_children[witness[1]].add(v)
+            else:
+                self._unmark(entry)
         return self
 
 

@@ -730,15 +730,18 @@ class _Driver:
         fired = False
         undecided = work.undecided()
         for v in undecided:
+            if self._expired():
+                break
             if work.status[v] != UND:
                 continue
+            mark = state.checkpoint()
             state.select(v)
             for w in undecided:
                 event = w != v and _dom(work, state, v, w)
                 if event:
                     self._record(event)
                     fired = True
-            state.deselect(v)
+            state.rollback(mark)
         return fired
 
     def necn_pass(self):
@@ -748,6 +751,8 @@ class _Driver:
         state = observe_from(work, work.pre_selected() + undecided)
         fired = False
         for v in undecided:
+            if self._expired():
+                break
             state.deselect(v)
             event = _necn(work, state, v)
             state.select(v)
@@ -802,9 +807,10 @@ def reduce_full(inst, rules=None, deadline=None):
     `rules` may be a RuleId iterable or one of the named subsets
     ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none').
     `deadline` is a `time.perf_counter()` value. It is checked between
-    the passes and before every fire of a local rule; once it has
-    passed, the kernel reached so far is returned. That kernel is still
-    safe, because every applied event is. Returns (kernel, log, stats).
+    the passes, before every fire of a local rule and before each vertex
+    a Dom or NecN pass tries; once it has passed, the kernel reached so
+    far is returned. That kernel is still safe, because every applied
+    event is. Returns (kernel, log, stats).
     """
     if rules is None:
         rules = RULE_SUBSETS["all"]

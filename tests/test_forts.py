@@ -8,8 +8,9 @@ from powerdom import (enumerate_minimal_forts, find_forts, fort_from_candidate,
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.forts import FortFamily, closed_neighborhood
 from powerdom.instance import PdsInstance
+from powerdom.propagation import observe_from
 
-from conftest import path_graph, random_instance, star_graph
+from conftest import gridlike_graph, path_graph, random_instance, star_graph
 
 
 def test_is_fort_examples():
@@ -126,3 +127,54 @@ def test_every_optimum_hits_every_fort_neighborhood():
             continue
         for fort in enumerate_minimal_forts(inst):
             assert witness.selected & closed_neighborhood(inst, fort)
+
+
+def _select_deselect_find_forts(inst, hitting_set, seed):
+    """Reference sweep: undo each re-selection with deselect."""
+    base = frozenset(hitting_set) | inst.pre_selected
+    pool = [v for v in inst.undecided() if v not in base]
+    state = observe_from(inst, base | set(pool))
+    rng = np.random.default_rng(seed)
+    order = [pool[int(i)] for i in rng.permutation(len(pool))]
+    forts, removed, prev_was_solution = [], set(), True
+    for i, u in enumerate(order):
+        if not prev_was_solution:
+            state.select(order[i - 1])
+            removed.discard(order[i - 1])
+        state.deselect(u)
+        removed.add(u)
+        prev_was_solution = state.is_complete()
+        if prev_was_solution:
+            continue
+        kept = []
+        for p in sorted(removed - {u}):
+            state.select(p)
+            if state.is_complete():
+                state.deselect(p)
+            else:
+                kept.append(p)
+        fort = state.unobserved_vertices()
+        for p in kept:
+            state.deselect(p)
+        if fort not in forts:
+            forts.append(fort)
+    return forts
+
+
+def test_rollback_sweep_matches_the_deselect_sweep():
+    rng = np.random.default_rng(7)
+    corpus = ([random_instance(seed, n_max=20, m_max=40) for seed in range(100)]
+              + [gridlike_graph(60, s) for s in range(1, 6)])
+    compared = 0
+    for inst in corpus:
+        for _ in range(2):
+            hitting = frozenset(
+                v for v in inst.undecided() if rng.random() < 0.15)
+            seed = int(rng.integers(1000))
+            try:
+                forts = find_forts(inst, hitting, seed=seed)
+            except InfeasibleInstanceError:
+                continue
+            assert forts == _select_deselect_find_forts(inst, hitting, seed)
+            compared += len(forts)
+    assert compared > 300

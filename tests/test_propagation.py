@@ -150,3 +150,70 @@ def test_monotonicity():
         obs_small = observe_from(inst, small).observed_vertices()
         obs_large = observe_from(inst, large).observed_vertices()
         assert obs_small <= obs_large
+
+
+def _snapshot(state):
+    return (state.observed_vertices(), list(state.witness),
+            list(state.unobs_count), state.observed_count,
+            set(state.selected), [set(c) for c in state.prop_children])
+
+
+def test_rollback_restores_the_checkpoint_exactly():
+    rng = random.Random(2)
+    rollbacks = 0
+    for seed in range(60):
+        inst = random_instance(seed, n_max=40, m_max=70, x_max=0, y_max=0)
+        state = observe_from(inst, ())
+        for _ in range(12):
+            # Deselects are allowed only outside every checkpoint, and
+            # must still agree with a recomputation afterwards.
+            for v in rng.sample(sorted(state.selected),
+                                min(2, len(state.selected))):
+                state.deselect(v)
+                ref = observe_from(inst, state.selected)
+                assert state.observed_vertices() == ref.observed_vertices()
+                _witness_is_forest(state)
+            marks = []
+            for _ in range(rng.randint(1, 8)):
+                roll = marks and rng.random() < 0.3
+                if roll:
+                    i = rng.randrange(len(marks))
+                    mark, snap = marks[i]
+                    state.rollback(mark)
+                    del marks[i:]
+                    assert _snapshot(state) == snap
+                    rollbacks += 1
+                    continue
+                if rng.random() < 0.4:
+                    marks.append((state.checkpoint(), _snapshot(state)))
+                free = [v for v in range(inst.n) if v not in state.selected]
+                if free:
+                    state.select(rng.choice(free))
+                if marks and state.selected:
+                    with pytest.raises(RuntimeError):
+                        state.deselect(next(iter(state.selected)))
+                ref = observe_from(inst, state.selected)
+                assert state.observed_vertices() == ref.observed_vertices()
+            if marks:
+                state.rollback(marks[0][0])
+                assert _snapshot(state) == marks[0][1]
+                rollbacks += 1
+            _witness_is_forest(state)
+            _exhausted(state)
+    assert rollbacks > 500
+
+
+def test_nested_checkpoint_at_an_empty_trail():
+    # An inner checkpoint taken before anything is recorded must not
+    # close the outer one when rolled back.
+    inst = path_graph(5)
+    state = observe_from(inst, ())
+    outer = state.checkpoint()
+    inner = state.checkpoint()
+    state.rollback(inner)
+    state.select(2)
+    state.rollback(outer)
+    assert state.observed_vertices() == frozenset() and not state.selected
+    state.select(0)
+    state.deselect(0)
+    assert state.observed_vertices() == frozenset()

@@ -247,6 +247,69 @@ def test_passed_deadline_leaves_only_the_dfs_pass(small_corpus):
         assert reduced == gamma
 
 
+class _Clock:
+    """Stand-in for the `time` module whose clock reads 1, 2, 3, ..."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return self.reads
+
+
+def _cut_reduce(monkeypatch, inst, checks):
+    """reduce_full with a deadline that passes after `checks` clock reads;
+    returns the kernel, the log and the number of reads made."""
+    clock = _Clock()
+    with monkeypatch.context() as m:
+        m.setattr(reductions, "time", clock)
+        kernel, log, _ = reduce_full(inst, deadline=checks + 0.5)
+    return kernel, log, clock.reads
+
+
+def test_deadline_cuts_dom_and_necn_passes(small_corpus, monkeypatch):
+    # Record where each Dom and NecN pass of the uncut run starts and ends
+    # in its event list; a cut run's events may stop strictly inside one.
+    spans = []
+
+    def spanning(run_pass, rule):
+        def run(self):
+            start = len(self.events)
+            fired = run_pass(self)
+            spans.append((rule, start, len(self.events)))
+            return fired
+        return run
+
+    cut_inside = set()
+    for seed in range(1, 6):
+        inst = gridlike_graph(60, seed)
+        spans.clear()
+        with monkeypatch.context() as m:
+            m.setattr(reductions._Driver, "dom_pass",
+                      spanning(reductions._Driver.dom_pass, RuleId.DOM))
+            m.setattr(reductions._Driver, "necn_pass",
+                      spanning(reductions._Driver.necn_pass, RuleId.NECN))
+            _, full, reads = _cut_reduce(monkeypatch, inst, float("inf"))
+        for checks in range(reads + 1):
+            _, log, _ = _cut_reduce(monkeypatch, inst, checks)
+            cut = len(log.events)
+            assert log.events == full.events[:cut]
+            cut_inside |= {rule for rule, start, end in spans
+                           if start < cut < end}
+    assert cut_inside == {RuleId.DOM, RuleId.NECN}
+    # Every cut kernel is still safe.
+    rng = random.Random(5)
+    for inst, gamma in small_corpus:
+        _, _, reads = _cut_reduce(monkeypatch, inst, float("inf"))
+        kernel, log, _ = _cut_reduce(monkeypatch, inst, rng.randrange(reads))
+        try:
+            reduced = len(lift_solution(log, oracle_pds(kernel)[1]))
+        except InfeasibleInstanceError:
+            reduced = None
+        assert reduced == gamma
+
+
 def test_lift_identity_and_select_events():
     inst = path_graph(3, pre_selected=[1])
     kernel, log, _ = reduce_full(inst, rules="none")
