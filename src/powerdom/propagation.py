@@ -1,7 +1,7 @@
 """Incremental observation engine.
 
 Maintains the fixpoint of the two observation rules for a dynamic
-selection set:
+selection set on a graph that may change:
 
 * domination: a selected vertex observes its closed neighborhood;
 * propagation: an observed propagating vertex with exactly one
@@ -9,17 +9,20 @@ selection set:
 
 Selections can be added and removed in arbitrary order. Every observed
 vertex carries a witness (selected itself / dominated by s / propagated
-from u); deselection invalidates exactly the observations whose
-derivation passed through the removed vertex and then re-propagates, so
-the state always equals a from-scratch recomputation.
+from u). Removing a selection, an edge or a propagating flag, or adding
+an edge, invalidates exactly the observations whose derivation the edit
+may break, together with everything derived through them, and then
+re-propagates from the boundary; so the state always equals a
+from-scratch recomputation on the current graph and selection.
 
 A caller that only tries selections and takes them back can instead open
 a checkpoint and roll back to it. While a checkpoint is open, every
 select and every vertex it newly observes is recorded on a trail;
 rollback undoes the trail in reverse, which restores the state exactly
 as it was at the checkpoint in time proportional to the work undone,
-without the invalidate-and-repair of deselect. Deselect is not allowed
-while a checkpoint is open, because the trail cannot undo it.
+without the invalidate-and-repair of deselect. Deselect and the graph
+edits are not allowed while a checkpoint is open, because the trail
+cannot undo them.
 """
 
 from __future__ import annotations
@@ -33,14 +36,25 @@ class ObservationState:
     """Single-writer observation fixpoint over a graph.
 
     The graph is anything with `n`, `adj`, `propagating` and `degree(v)`,
-    such as a `PdsInstance` or the reduction work state. Its edges and
-    propagating flags must not change while the state is in use.
+    such as a `PdsInstance` or the reduction work state. Its owner may
+    change it between operations, one edit at a time, provided it reports
+    each edit right after making it: `edge_added(u, v)` once v is in
+    adj[u] and u in adj[v], `edge_removed(u, v)` once both are gone, and
+    `flag_cleared(v)` once `propagating[v]` is false. Deleting a vertex is
+    removing each of its edges; an isolated vertex that is not selected is
+    unobserved. Each report repairs the fixpoint locally and returns the
+    vertices whose observed flag it changed, possibly with repeats and
+    vertices that changed back. The edits raise while a checkpoint is
+    open.
 
     `checkpoint()` opens a checkpoint and returns its mark; `rollback(mark)`
     restores the state to what it was when that checkpoint was opened and
-    closes it together with every checkpoint opened after it. Checkpoints
-    nest, and one that is never rolled back stays open until an enclosing
-    one is. `deselect` raises while any checkpoint is open.
+    closes it together with every checkpoint opened after it, and
+    `release(mark)` closes them keeping what they did. Checkpoints nest,
+    and one that is never rolled back stays open until an enclosing one
+    is. `marked_since(mark)` lists the vertices newly observed since
+    checkpoint `mark` was opened. `deselect` raises while any checkpoint
+    is open.
     """
 
     __slots__ = ("inst", "selected", "observed", "witness", "prop_children",
@@ -113,6 +127,72 @@ class ObservationState:
         for u in self.inst.adj[v]:
             self.unobs_count[u] += 1
 
+    def _invalidate(self, seeds):
+        """Unmark the observed seeds and every observation derived through
+        an unmarked vertex; returns the unmarked vertices."""
+        observed, adj = self.observed, self.inst.adj
+        prop_children = self.prop_children
+        # A propagation witness (u -> w) depends on u and on all other
+        # neighbors of u being observed, so unobserving t kills every
+        # propagation out of t and out of t's neighbors.
+        invalid = []
+        for t in seeds:
+            if observed[t]:
+                self._unmark(t)
+                invalid.append(t)
+        for t in invalid:
+            for w in list(prop_children[t]):
+                if observed[w]:
+                    self._unmark(w)
+                    invalid.append(w)
+            for u in adj[t]:
+                for w in [c for c in prop_children[u] if c != t]:
+                    if observed[w]:
+                        self._unmark(w)
+                        invalid.append(w)
+        return invalid
+
+    def _repair(self, invalid, ends=()):
+        """Restore the fixpoint after `_invalidate`. `ends` are vertices
+        whose own rule inputs an edit changed: they may now be dominated or
+        propagate."""
+        observed, adj, selected = self.observed, self.inst.adj, self.selected
+        # Re-dominate what a selected vertex still covers, then run
+        # propagation from the surviving boundary.
+        queue = deque()
+        for group in (invalid, ends):
+            for t in group:
+                if observed[t]:
+                    continue
+                for s in adj[t]:
+                    if s in selected:
+                        self._mark(t, ("dom", s), queue)
+                        break
+        for t in invalid:
+            for u in adj[t]:
+                if observed[u]:
+                    queue.append(u)
+            if observed[t]:
+                queue.append(t)
+        for t in ends:
+            if observed[t]:
+                queue.append(t)
+        self._propagate(queue)
+
+    def _no_checkpoint(self, operation):
+        if self._levels:
+            raise RuntimeError(f"{operation} while a checkpoint is open")
+
+    def _edit(self, seeds, ends):
+        """Invalidate from `seeds`, repair, and return the vertices whose
+        observed flag changed, read off a checkpoint's trail."""
+        invalid = self._invalidate(seeds)
+        mark = self.checkpoint()
+        self._repair(invalid, ends)
+        changed = invalid + self.marked_since(mark)
+        self.release(mark)
+        return changed
+
     # -- public operations -------------------------------------------------
 
     def select(self, v):
@@ -138,56 +218,37 @@ class ObservationState:
         """Remove v, invalidate observations derived through it, re-propagate."""
         if v not in self.selected:
             raise ValueError(f"vertex {v} is not selected")
-        if self._levels:
-            raise RuntimeError("deselect while a checkpoint is open")
+        self._no_checkpoint("deselect")
         self.selected.discard(v)
-        # Invalidation closure. A propagation witness (u -> w) depends on u
-        # and on all other neighbors of u being observed, so unobserving t
-        # kills every propagation out of t and out of t's neighbors.
-        invalid = []
-        pending = deque()
-
-        def invalidate(t):
-            if not self.observed[t]:
-                return
-            self._unmark(t)
-            invalid.append(t)
-            pending.append(t)
-
-        if self.witness[v] == SELF:
-            invalidate(v)
-        for w in list(self.inst.adj[v]):
-            wit = self.witness[w]
-            if wit is not None and wit == ("dom", v):
-                invalidate(w)
-        while pending:
-            t = pending.popleft()
-            for w in list(self.prop_children[t]):
-                invalidate(w)
-            for u in self.inst.adj[t]:
-                for w in [c for c in self.prop_children[u] if c != t]:
-                    invalidate(w)
-        # Repair: re-dominate what another selected vertex still covers,
-        # then run propagation from the surviving boundary.
-        queue = deque()
-        for t in invalid:
-            if self.observed[t]:
-                continue
-            if t in self.selected:
-                self._mark(t, SELF, queue)
-                continue
-            for s in self.inst.adj[t]:
-                if s in self.selected:
-                    self._mark(t, ("dom", s), queue)
-                    break
-        for t in invalid:
-            for u in self.inst.adj[t]:
-                if self.observed[u]:
-                    queue.append(u)
-            if self.observed[t]:
-                queue.append(t)
-        self._propagate(queue)
+        seeds = [v] if self.witness[v] == SELF else []
+        witness = ("dom", v)
+        seeds.extend(w for w in self.inst.adj[v] if self.witness[w] == witness)
+        self._repair(self._invalidate(seeds))
         return self
+
+    def edge_added(self, u, v):
+        """Report that the edge uv was added to the graph."""
+        self._no_checkpoint("edge_added")
+        self.unobs_count[u] += not self.observed[v]
+        self.unobs_count[v] += not self.observed[u]
+        # Propagations out of u and v counted on their old neighborhoods.
+        return self._edit([*self.prop_children[u], *self.prop_children[v]],
+                          (u, v))
+
+    def edge_removed(self, u, v):
+        """Report that the edge uv was removed from the graph."""
+        self._no_checkpoint("edge_removed")
+        self.unobs_count[u] -= not self.observed[v]
+        self.unobs_count[v] -= not self.observed[u]
+        witness = self.witness
+        seeds = [t for t, s in ((u, v), (v, u))
+                 if witness[t] == ("dom", s) or witness[t] == ("prop", s)]
+        return self._edit(seeds, (u, v))
+
+    def flag_cleared(self, v):
+        """Report that v no longer propagates."""
+        self._no_checkpoint("flag_cleared")
+        return self._edit(list(self.prop_children[v]), ())
 
     def checkpoint(self):
         """Open a checkpoint; returns the mark to roll back to."""
@@ -212,6 +273,19 @@ class ObservationState:
             else:
                 self._unmark(entry)
         return self
+
+    def release(self, mark):
+        """Close checkpoint `mark` and every checkpoint opened after it,
+        keeping what they did; an enclosing checkpoint can still undo it."""
+        del self._levels[mark:]
+        if not self._levels:
+            self._trail.clear()
+        return self
+
+    def marked_since(self, mark):
+        """Vertices newly observed since checkpoint `mark` was opened."""
+        return [entry for entry in self._trail[self._levels[mark]:]
+                if entry.__class__ is not tuple]
 
 
 def observe_from(inst, selected):

@@ -14,8 +14,8 @@ each enabled local rule keeps the set of sites it has still to test. A
 site leaves the set only when its guard fails, and every recorded event,
 local or not, puts back the sites whose guard inputs it touched. The
 guards read only a site's closed neighbourhood, the edges at its
-degree-two neighbours, and (Deg2c, ObsNP, ObsE) the observed set, which
-is diffed against the one those rules last tested under. So a site
+degree-two neighbours, and (Deg2c, ObsNP, ObsE) the observed set, whose
+net changes since those rules last tested are put back too. So a site
 outside the set never holds, and the smallest pending site that holds is
 the one a full rescan would fire: the worklist changes how many guards
 are tried, not which rule fires where.
@@ -29,7 +29,10 @@ holds.
 
 "Observed" in rule guards always means observed by the pre-selected set
 alone, except in Dom and NecN, which add candidate selections to it.
-Guards run the solver's `observe_from` on the live work state itself.
+The work state keeps one `ObservationState` of its pre-selected set for
+the whole reduction: each pre-selection selects in it, and each edge
+edit, cleared propagating flag and deletion repairs it locally, so guards
+read its observed flags and no mutation recomputes the fixpoint.
 """
 
 from __future__ import annotations
@@ -113,8 +116,11 @@ class _Work:
     markings. Next to `alive_count` they keep three counters over the
     alive vertices: `undecided_count`, `edge_count` (real insertions and
     removals only) and `propagating_count`, so `measure()` costs O(1).
-    Its `n`, `adj`, `propagating` and `degree()` let `observe_from` run on
-    it; deleted vertices have no edges and are never selected.
+    Its `n`, `adj`, `propagating` and `degree()` let an `ObservationState`
+    run on it; deleted vertices have no edges and are never selected.
+    `obs` is the observation state of the pre-selected set, which the
+    mutations keep equal to a recomputation, and `obs_changed` collects
+    the vertices whose observed flag they may have changed.
     """
 
     def __init__(self, inst):
@@ -132,44 +138,48 @@ class _Work:
         for v in inst.excluded:
             self.status[v] = EXC
         self.undecided_count = self.status.count(UND)
-        self._obs = None
+        self.obs = observe_from(self, self.pre_selected())
+        self.obs_changed = set()
 
     # mutations ------------------------------------------------------------
 
     def delete(self, v):
         for w in list(self.adj[v]):
-            self.adj[w].discard(v)
-        self.edge_count -= len(self.adj[v])
-        self.adj[v].clear()
+            self.remove_edge(v, w)
         self.alive[v] = False
         self.alive_count -= 1
         self.undecided_count -= self.status[v] == UND
         self.propagating_count -= self.propagating[v]
-        self._obs = None
 
     def add_edge(self, u, v):
         if v not in self.adj[u]:
             self.adj[u].add(v)
             self.adj[v].add(u)
             self.edge_count += 1
-        self._obs = None
+            self.obs_changed.update(self.obs.edge_added(u, v))
 
     def remove_edge(self, u, v):
         if v in self.adj[u]:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
             self.edge_count -= 1
-        self._obs = None
+            self.obs_changed.update(self.obs.edge_removed(u, v))
 
     def set_status(self, v, status):
         self.undecided_count += (status == UND) - (self.status[v] == UND)
+        if status == PRE and self.status[v] != PRE:
+            obs = self.obs
+            mark = obs.checkpoint()
+            obs.select(v)
+            self.obs_changed.update(obs.marked_since(mark))
+            obs.release(mark)
         self.status[v] = status
-        self._obs = None
 
     def set_nonpropagating(self, v):
-        self.propagating_count -= self.propagating[v]
-        self.propagating[v] = False
-        self._obs = None
+        if self.propagating[v]:
+            self.propagating_count -= 1
+            self.propagating[v] = False
+            self.obs_changed.update(self.obs.flag_cleared(v))
 
     # queries ---------------------------------------------------------------
 
@@ -191,23 +201,15 @@ class _Work:
         return [v for v in range(self.n)
                 if self.alive[v] and self.status[v] == PRE]
 
-    def observed(self):
-        """Fixpoint of the observation rules for the current pre-selected set."""
-        if self._obs is None:
-            state = observe_from(self, self.pre_selected())
-            self._obs = state.observed_vertices()
-        return self._obs
-
     def measure(self):
         return (self.alive_count + self.undecided_count + self.edge_count
                 + self.propagating_count)
 
     def observed_pair_count(self):
-        obs = self.observed()
-        status = self.status
-        return sum(1 for u in obs if status[u] != PRE
+        observed, status = self.obs.observed, self.status
+        return sum(1 for u in range(self.n) if observed[u] and status[u] != PRE
                    for v in self.adj[u]
-                   if u < v and v in obs and status[v] != PRE)
+                   if u < v and observed[v] and status[v] != PRE)
 
     def snapshot(self):
         """Compact alive vertices into a PdsInstance; returns (inst, to_work)."""
@@ -316,10 +318,10 @@ def _deg2b(work, v):
 def _deg2c(work, v):
     if work.status[v] != EXC or not work.propagating[v]:
         return None
-    obs = work.observed()
-    if v not in obs:
+    observed = work.obs.observed
+    if not observed[v]:
         return None
-    unobserved = sorted(w for w in work.adj[v] if w not in obs)
+    unobserved = sorted(w for w in work.adj[v] if not observed[w])
     if len(unobserved) != 2:
         return None
     x, y = unobserved
@@ -375,7 +377,7 @@ def _isol(work, v):
 def _obsnp(work, v):
     if work.status[v] != EXC or work.propagating[v]:
         return None
-    if v not in work.observed():
+    if not work.obs.observed[v]:
         return None
     removed = tuple(sorted(tuple(sorted((v, w))) for w in work.adj[v]))
     work.delete(v)
@@ -392,14 +394,14 @@ def _obse_holds(work, site):
         return False
     # Only the pre-selected set observes, so observed endpoints imply that
     # a pre-selected vertex exists.
-    obs = work.observed()
-    return v in obs and w in obs
+    observed = work.obs.observed
+    return observed[v] and observed[w]
 
 
 def _obse_apply(work, site):
     """Rewire an edge whose guard holds to the smallest pre-selected id."""
     v, w = site
-    x = work.pre_selected()[0]
+    x = min(work.obs.selected)
     added = []
     work.remove_edge(v, w)
     for end in (v, w):
@@ -446,9 +448,10 @@ def _sites(work, rule):
     return work.vertices()
 
 
-# An observation state of the work graph stays valid while only statuses
-# change, which is all Dom and NecN do; it must not outlive any other
-# mutation.
+# Dom tries its candidates on the work state's own observation state,
+# under a checkpoint. NecN's state, which selects every undecided vertex,
+# stays valid while only statuses change, which is all NecN does; it must
+# not outlive any other mutation.
 
 
 def _dom(work, state, v, w):
@@ -552,11 +555,12 @@ class _Driver:
         self.events = []
         self.budget = 8 * (inst.n + inst.m + 2) ** 2 + 64
         # Pending sites per enabled local rule; every site outside its set
-        # fails its guard. The observing rules' sets hold that under
-        # `tested_observed`, which is diffed before they are scanned.
+        # fails its guard. The observing rules' sets hold that under the
+        # observed flags `tested_observed`; the flags that changed since
+        # are put back before those rules are scanned.
         self.local = [r for r in LOCAL_RULES if r in self.rules]
         self.pending = {rule: _Pending() for rule in self.local}
-        self.tested_observed = None
+        self.tested_observed = list(self.work.obs.observed)
         self._requeue(self.work.vertices(), self.local)
 
     def _expired(self):
@@ -620,18 +624,21 @@ class _Driver:
                         pending.add(v)
 
     def _requeue_observation_changes(self):
-        """Put back the observing rules' sites at vertices whose observation
-        changed since those rules last tested, and at their neighbours."""
-        observed = self.work.observed()
-        seen, self.tested_observed = self.tested_observed, observed
-        if seen is None or seen is observed:
-            return
-        changed = seen ^ observed
-        touched = set(changed)
-        for v in changed:
-            touched |= self.work.adj[v]
-        self._requeue(touched, [r for r in self.local
-                                if r in _OBSERVING_RULES])
+        """Put back the observing rules' sites at vertices whose observed
+        flag changed since those rules last tested, and at their
+        neighbours."""
+        work = self.work
+        observed, tested = work.obs.observed, self.tested_observed
+        touched = set()
+        for v in work.obs_changed:
+            if observed[v] != tested[v]:
+                tested[v] = observed[v]
+                touched.add(v)
+                touched |= work.adj[v]
+        work.obs_changed.clear()
+        if touched:
+            self._requeue(touched, [r for r in self.local
+                                    if r in _OBSERVING_RULES])
 
     def _apply_checked(self, fn, site):
         if fn is _obse:
@@ -724,24 +731,39 @@ class _Driver:
         return fired_any
 
     def dom_pass(self):
-        """One exhaustive pass of the domination rule."""
+        """One exhaustive pass of the domination rule.
+
+        It fires what trying every undecided w, in id order, under every
+        undecided v would, but tests only the w that can hold. Selecting v
+        can exclude w only if the pre-selected set already observes N[w],
+        or if N[w] holds a vertex that selecting v newly observed.
+        """
         work = self.work
-        state = observe_from(work, work.pre_selected())
+        state, status, adj = work.obs, work.status, work.adj
+        observed = state.observed
         fired = False
         undecided = work.undecided()
+        # Each of these fires under the first v other than itself.
+        covered = [w for w in undecided
+                   if observed[w] and all(observed[t] for t in adj[w])]
         for v in undecided:
             if self._expired():
                 break
-            if work.status[v] != UND:
+            if status[v] != UND:
                 continue
             mark = state.checkpoint()
             state.select(v)
-            for w in undecided:
+            candidates = set(covered)
+            for u in state.marked_since(mark):
+                candidates.add(u)
+                candidates |= adj[u]
+            for w in sorted(candidates):
                 event = w != v and _dom(work, state, v, w)
                 if event:
                     self._record(event)
                     fired = True
             state.rollback(mark)
+            covered = [w for w in covered if status[w] == UND]
         return fired
 
     def necn_pass(self):

@@ -217,3 +217,95 @@ def test_nested_checkpoint_at_an_empty_trail():
     state.select(0)
     state.deselect(0)
     assert state.observed_vertices() == frozenset()
+
+
+class _EditableGraph:
+    """Mutable copy of an instance's graph that an ObservationState reads."""
+
+    def __init__(self, inst):
+        self.n = inst.n
+        self.adj = [set(inst.adj[v]) for v in range(inst.n)]
+        self.propagating = list(inst.propagating)
+
+    def degree(self, v):
+        return len(self.adj[v])
+
+
+def test_graph_edits_match_recompute():
+    # Each edit must leave the state equal to a recomputation and report
+    # every vertex whose observed flag it flipped. The random edge
+    # insertions include ObsE's rewiring: an unobserved endpoint gaining
+    # an edge to a selected vertex.
+    rng = random.Random(3)
+    counts = dict.fromkeys(("select", "add", "remove", "clear", "delete"), 0)
+    for seed in range(80):
+        inst = random_instance(seed, n_max=30, m_max=50, x_max=0, y_max=0)
+        graph = _EditableGraph(inst)
+        state = observe_from(graph, rng.sample(range(inst.n),
+                                               rng.randint(0, min(2, inst.n))))
+        for _ in range(40):
+            before = list(state.observed)
+            op = rng.choice(sorted(counts))
+            changed = []
+            if op == "select":
+                free = [v for v in range(inst.n) if v not in state.selected]
+                if not free:
+                    continue
+                mark = state.checkpoint()
+                state.select(rng.choice(free))
+                changed = state.marked_since(mark)
+                state.release(mark)
+            elif op == "add":
+                u, v = rng.randrange(inst.n), rng.randrange(inst.n)
+                if u == v or v in graph.adj[u]:
+                    continue
+                graph.adj[u].add(v)
+                graph.adj[v].add(u)
+                changed = state.edge_added(u, v)
+            elif op == "remove":
+                edges = [(u, v) for u in range(inst.n)
+                         for v in graph.adj[u] if u < v]
+                if not edges:
+                    continue
+                u, v = rng.choice(edges)
+                graph.adj[u].discard(v)
+                graph.adj[v].discard(u)
+                changed = state.edge_removed(u, v)
+            elif op == "clear":
+                props = [v for v in range(inst.n) if graph.propagating[v]]
+                if not props:
+                    continue
+                v = rng.choice(props)
+                graph.propagating[v] = False
+                changed = state.flag_cleared(v)
+            else:
+                free = [v for v in range(inst.n) if v not in state.selected]
+                if not free:
+                    continue
+                v = rng.choice(free)
+                for w in sorted(graph.adj[v]):
+                    graph.adj[v].discard(w)
+                    graph.adj[w].discard(v)
+                    changed += state.edge_removed(v, w)
+                assert not state.observed[v]
+            counts[op] += 1
+            ref = observe_from(graph, state.selected)
+            assert state.observed == ref.observed, op
+            assert state.unobs_count == ref.unobs_count, op
+            assert state.observed_count == ref.observed_count, op
+            flipped = {v for v in range(inst.n)
+                       if before[v] != state.observed[v]}
+            assert flipped <= set(changed), op
+            _witness_is_forest(state)
+            _exhausted(state)
+    assert min(counts.values()) > 200
+
+
+def test_graph_edits_raise_while_a_checkpoint_is_open():
+    graph = _EditableGraph(path_graph(3))
+    state = observe_from(graph, {0})
+    state.checkpoint()
+    graph.adj[0].discard(1)
+    graph.adj[1].discard(0)
+    with pytest.raises(RuntimeError):
+        state.edge_removed(0, 1)

@@ -6,7 +6,7 @@ import pytest
 from powerdom import (LOCAL_RULES, Circuit, PdsInstance, RuleId,
                       applicable_sites, apply_local_exhaustive, apply_nonlocal,
                       apply_rule_once, full_chain_detailed, lift_solution,
-                      oracle_pds, reduce_full, reductions)
+                      observe_from, oracle_pds, reduce_full, reductions)
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 
@@ -381,20 +381,25 @@ def _shuffled(inst, seed):
                        propagating)
 
 
-def test_worklist_keeps_the_restart_firing_order(small_corpus):
+def _firing_order_corpus(small_corpus):
+    """Small corpus, random extension instances, the wire1, OR(x0) and
+    x0 AND x1 chains, and id-shuffled grid-like graphs."""
     chains = [Circuit([("x0", ("in", ())), ("out", ("out", ("x0",)))]),
               Circuit([("x0", ("in", ())), ("g0", ("or", ("x0",))),
                        ("out", ("out", ("g0",)))]),
               Circuit([("x0", ("in", ())), ("x1", ("in", ())),
                        ("g0", ("and", ("x0", "x1"))),
                        ("out", ("out", ("g0",)))])]
-    corpus = ([inst for inst, _ in small_corpus]
-              + [random_instance(seed, n_max=20, m_max=40, x_max=3, y_max=4)
-                 for seed in range(100)]
-              + [full_chain_detailed(c).instance for c in chains]
-              + [_shuffled(gridlike_graph(n, gen_seed), 0)
-                 for n in (40, 60) for gen_seed in range(1, 7)])
-    for inst in corpus:
+    return ([inst for inst, _ in small_corpus]
+            + [random_instance(seed, n_max=20, m_max=40, x_max=3, y_max=4)
+               for seed in range(100)]
+            + [full_chain_detailed(c).instance for c in chains]
+            + [_shuffled(gridlike_graph(n, gen_seed), 0)
+               for n in (40, 60) for gen_seed in range(1, 7)])
+
+
+def test_worklist_keeps_the_restart_firing_order(small_corpus):
+    for inst in _firing_order_corpus(small_corpus):
         kernel, log = apply_local_exhaustive(inst)
         ref = _RestartDriver(inst, LOCAL_RULES)
         ref.local_round()
@@ -406,6 +411,48 @@ def test_worklist_keeps_the_restart_firing_order(small_corpus):
             ref.run()
             assert log.events == ref.events, subset
             assert log.kernel_to_original == ref.work.snapshot()[1], subset
+
+
+class _AllPairsDomDriver(reductions._Driver):
+    """Reference Dom pass: try every undecided w, in id order, under every
+    undecided v, each on a fresh fixpoint."""
+
+    def dom_pass(self):
+        work, fired = self.work, False
+        undecided = work.undecided()
+        for v in undecided:
+            if work.status[v] != reductions.UND:
+                continue
+            state = observe_from(work, work.pre_selected() + [v])
+            for w in undecided:
+                event = w != v and reductions._dom(work, state, v, w)
+                if event:
+                    self._record(event)
+                    fired = True
+        return fired
+
+
+def test_dom_candidates_keep_the_all_pairs_firing_order(small_corpus):
+    for inst in _firing_order_corpus(small_corpus):
+        for subset in ("all", "local+dom"):
+            _, log, _ = reduce_full(inst, subset)
+            ref = _AllPairsDomDriver(inst, reductions.RULE_SUBSETS[subset])
+            ref.run()
+            assert log.events == ref.events, subset
+            assert log.kernel_to_original == ref.work.snapshot()[1], subset
+
+
+def test_dom_fires_a_covered_first_vertex_under_the_second():
+    # The pre-selected 5 observes N[0] = {0, 5}, so 0 is excluded under the
+    # first other vertex tried, 1, although selecting 1 newly observes
+    # nothing next to 0.
+    inst = PdsInstance(6, [(0, 5), (1, 2), (2, 3), (3, 4)], pre_selected=[5])
+    _, log, _ = reduce_full(inst, {RuleId.DOM})
+    ref = _AllPairsDomDriver(inst, {RuleId.DOM})
+    ref.run()
+    assert log.events == ref.events
+    assert log.events[0] == reductions.ReductionEvent(
+        RuleId.DOM, (1, 0), excluded=(0,))
 
 
 # --- invariant checks on every fire -----------------------------------------
@@ -430,11 +477,16 @@ def test_maintained_measure_matches_recount(small_corpus, monkeypatch):
                  work.propagating_count)
         assert terms == _recount(work), event
         assert work.measure() == sum(terms)
-        # The shared fixpoint on the live work state agrees with the
-        # independent dense oracle on the compacted kernel.
+        # The observation state kept alive across the work state's edits
+        # agrees with the independent oracle on the compacted kernel. A
+        # Dom event fires while its candidate v is selected on top.
         snap, to_work = work.snapshot()
-        oracle = {to_work[v] for v in observed_set(snap, snap.pre_selected)}
-        assert work.observed() == oracle, event
+        selected = set(snap.pre_selected)
+        if event.rule is RuleId.DOM:
+            selected.add(to_work.index(event.site[0]))
+        oracle = {to_work[v] for v in observed_set(snap, selected)}
+        assert work.obs.observed_vertices() == oracle, event
+        assert work.obs.observed_count == len(oracle), event
         checked.append(event.rule)
 
     monkeypatch.setattr(reductions._Driver, "_record", checking_record)
