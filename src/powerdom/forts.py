@@ -68,11 +68,18 @@ def _reselect(state, pool, deadline=None):
     """Select each unselected pool vertex in ascending id order unless that
     completes the state, stopping once the deadline has passed. A select
     that completes the state is rolled back; each kept one leaves its
-    checkpoint open."""
+    checkpoint open.
+
+    A vertex whose closed neighbourhood is already observed is skipped
+    without a select: if N[p] lies in the closure of S, the closure of
+    S, p and any later T equals that of S and T, so selecting p could
+    neither complete the state nor change the unobserved set left.
+    """
+    observed, unobs_count = state.observed, state.unobs_count
     for p in sorted(pool):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        if p in state.selected:
+        if p in state.selected or (observed[p] and not unobs_count[p]):
             continue
         mark = state.checkpoint()
         state.select(p)

@@ -13,7 +13,11 @@ from u). Removing a selection, an edge or a propagating flag, or adding
 an edge, invalidates exactly the observations whose derivation the edit
 may break, together with everything derived through them, and then
 re-propagates from the boundary; so the state always equals a
-from-scratch recomputation on the current graph and selection.
+from-scratch recomputation on the current graph and selection. Removing
+a selection first re-dominates what another selected vertex still
+covers: such a vertex stays observed under the new witness, and only
+the rest is invalidated, so a deselect inside a dense selection often
+invalidates nothing.
 
 A caller that only tries selections and takes them back can instead open
 a checkpoint and roll back to it. While a checkpoint is open, every
@@ -215,15 +219,33 @@ class ObservationState:
         return self
 
     def deselect(self, v):
-        """Remove v, invalidate observations derived through it, re-propagate."""
+        """Remove v from the selection.
+
+        v and every vertex v dominated are first re-dominated by another
+        selected neighbour where they have one: they stay observed, and no
+        propagation witness names a dom-witnessed vertex, so nothing
+        derived through them changes. Only the rest are invalidated, with
+        everything derived through them, and propagation re-runs from the
+        boundary; when nothing is left to invalidate, that is skipped.
+        """
         if v not in self.selected:
             raise ValueError(f"vertex {v} is not selected")
         self._no_checkpoint("deselect")
-        self.selected.discard(v)
-        seeds = [v] if self.witness[v] == SELF else []
-        witness = ("dom", v)
-        seeds.extend(w for w in self.inst.adj[v] if self.witness[w] == witness)
-        self._repair(self._invalidate(seeds))
+        selected, witness, adj = self.selected, self.witness, self.inst.adj
+        selected.discard(v)
+        dominated = ("dom", v)
+        seeds = []
+        for t in (v, *adj[v]):
+            if witness[t] != (SELF if t == v else dominated):
+                continue
+            for s in adj[t]:
+                if s in selected:
+                    witness[t] = ("dom", s)
+                    break
+            else:
+                seeds.append(t)
+        if seeds:
+            self._repair(self._invalidate(seeds))
         return self
 
     def edge_added(self, u, v):

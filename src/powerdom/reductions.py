@@ -527,11 +527,16 @@ def applicable_sites(inst, rule):
 
 
 class _Pending:
-    """Sites a local rule has still to test, smallest first."""
+    """Sites a local rule has still to test, smallest first, with what the
+    worklist reads of the rule, looked up once rather than per site."""
 
-    def __init__(self):
+    def __init__(self, rule):
         self.heap = []
         self.members = set()
+        self.apply = _LOCAL_APPLY[rule]
+        self.edge_sites = rule in _EDGE_SITE_RULES
+        self.observing = rule in _OBSERVING_RULES
+        self.status = _SITE_STATUS.get(rule)
 
     def __bool__(self):
         return bool(self.heap)
@@ -554,14 +559,15 @@ class _Driver:
         self.deadline = deadline
         self.events = []
         self.budget = 8 * (inst.n + inst.m + 2) ** 2 + 64
-        # Pending sites per enabled local rule; every site outside its set
-        # fails its guard. The observing rules' sets hold that under the
-        # observed flags `tested_observed`; the flags that changed since
-        # are put back before those rules are scanned.
-        self.local = [r for r in LOCAL_RULES if r in self.rules]
-        self.pending = {rule: _Pending() for rule in self.local}
+        # Pending sites per enabled local rule, in `LOCAL_RULES` order;
+        # every site outside its set fails its guard. The observing rules'
+        # sets hold that under the observed flags `tested_observed`; the
+        # flags that changed since are put back before those rules are
+        # scanned.
+        self.pending = [_Pending(r) for r in LOCAL_RULES if r in self.rules]
+        self.observing = [p for p in self.pending if p.observing]
         self.tested_observed = list(self.work.obs.observed)
-        self._requeue(self.work.vertices(), self.local)
+        self._requeue(self.work.vertices(), self.pending)
 
     def _expired(self):
         return (self.deadline is not None
@@ -574,7 +580,7 @@ class _Driver:
                 "reduction exceeded its polynomial event budget; "
                 "a rule is likely cycling")
         if self.pending:
-            self._requeue(self._touched_by(event), self.local)
+            self._requeue(self._touched_by(event), self.pending)
 
     def _touched_by(self, event):
         """Vertices whose sites' guards may read something the event changed.
@@ -599,26 +605,26 @@ class _Driver:
                     touched |= adj[end]
         return touched
 
-    def _requeue(self, vertices, rules):
+    def _requeue(self, vertices, queues):
         """Put back the vertex sites in `vertices` and the edge sites at
-        them. Sites with a pre-selected vertex are left out: no local rule
-        fires there, and pre-selection is final. So is a vertex site whose
-        status its rule does not accept, since an event that changes a
-        status names the vertex and puts the site back then."""
+        them, on each of the `_Pending` queues. Sites with a pre-selected
+        vertex are left out: no local rule fires there, and pre-selection
+        is final. So is a vertex site whose status its rule does not
+        accept, since an event that changes a status names the vertex and
+        puts the site back then."""
         work = self.work
         status, adj = work.status, work.adj
         live = [v for v in vertices if work.alive[v] and status[v] != PRE]
         edges = None
-        for rule in rules:
-            pending = self.pending[rule]
-            if rule in _EDGE_SITE_RULES:
+        for pending in queues:
+            if pending.edge_sites:
                 if edges is None:
                     edges = [(min(v, w), max(v, w)) for v in live
                              for w in adj[v] if status[w] != PRE]
                 for edge in edges:
                     pending.add(edge)
             else:
-                wanted = _SITE_STATUS[rule]
+                wanted = pending.status
                 for v in live:
                     if status[v] == wanted:
                         pending.add(v)
@@ -637,8 +643,7 @@ class _Driver:
                 touched |= work.adj[v]
         work.obs_changed.clear()
         if touched:
-            self._requeue(touched, [r for r in self.local
-                                    if r in _OBSERVING_RULES])
+            self._requeue(touched, self.observing)
 
     def _apply_checked(self, fn, site):
         if fn is _obse:
@@ -670,8 +675,8 @@ class _Driver:
 
     def dfs_pass(self):
         inst = self.work.inst
-        wanted = [r for r in (RuleId.DEG1A, RuleId.DEG1B, RuleId.DEG2A)
-                  if r in self.rules]
+        wanted = [_LOCAL_APPLY[r] for r in (RuleId.DEG1A, RuleId.DEG1B,
+                                            RuleId.DEG2A) if r in self.rules]
         if not wanted:
             return
         seen = [False] * inst.n
@@ -697,8 +702,8 @@ class _Driver:
             changed = True
             while changed and self.work.alive[v]:
                 changed = False
-                for rule in wanted:
-                    if self._apply_checked(_LOCAL_APPLY[rule], v):
+                for fn in wanted:
+                    if self._apply_checked(fn, v):
                         changed = True
                         break
 
@@ -707,12 +712,11 @@ class _Driver:
         holds at a pending site, at its smallest such site. Sites that fail
         are dropped; returns False when no pending site holds."""
         work = self.work
-        for rule in self.local:
-            if rule in _OBSERVING_RULES:
+        for pending in self.pending:
+            if pending.observing:
                 self._requeue_observation_changes()
-            pending = self.pending[rule]
-            fn = _LOCAL_APPLY[rule]
-            edge_sites = rule in _EDGE_SITE_RULES
+            fn = pending.apply
+            edge_sites = pending.edge_sites
             while pending:
                 site = pending.pop()
                 if edge_sites:

@@ -87,7 +87,11 @@ def greedy_complete(inst, h=(), deadline=None):
     Repeatedly selects the undecided vertex covering the most unobserved
     vertices in its closed neighborhood (ties: more unobserved propagating
     ones, then lowest id), then drops added vertices in reverse addition
-    order while feasibility holds. The given h is never pruned.
+    order while feasibility holds. The given h is never pruned. A
+    vertex's gain is read in O(1) off the observation state, as its count
+    of unobserved neighbours plus one if it is unobserved itself; only
+    the vertices tied at the top gain scan their neighbours for the
+    propagating tie-break.
 
     The `time.perf_counter()` value `deadline` is checked before every
     pick but the first, so an instance one vertex observes still gets it.
@@ -97,7 +101,9 @@ def greedy_complete(inst, h=(), deadline=None):
     """
     base = frozenset(h) | inst.pre_selected
     state = observe_from(inst, base)
-    decided = inst.pre_selected | inst.excluded
+    observed, unobs_count = state.observed, state.unobs_count
+    adj, propagating = inst.adj, inst.propagating
+    free = [v for v in inst.undecided() if v not in base]
     added = []
     while not state.is_complete():
         if (added and deadline is not None
@@ -107,25 +113,20 @@ def greedy_complete(inst, h=(), deadline=None):
                 raise InfeasibleInstanceError(
                     "the undecided vertices together leave a vertex unobserved")
             return SolutionSet(everything)
-        best = None
-        best_key = None
-        for v in range(inst.n):
-            if v in decided or v in state.selected:
-                continue
-            gain = sum(1 for w in inst.adj[v] if not state.is_observed(w))
-            if not state.is_observed(v):
-                gain += 1
-            if gain == 0:
-                continue
-            prop_gain = sum(1 for w in inst.adj[v]
-                            if not state.is_observed(w) and inst.propagating[w])
-            key = (-gain, -prop_gain, v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        if best is None:
+        top, tied = 0, []
+        for v in free:
+            gain = unobs_count[v] + (not observed[v])
+            if gain > top:
+                top, tied = gain, [v]
+            elif gain == top and gain:
+                tied.append(v)
+        if not tied:
             raise InfeasibleInstanceError(
                 "no undecided vertex can extend the observed set")
+        best = min(tied, key=lambda v: (
+            -sum(1 for w in adj[v] if not observed[w] and propagating[w]), v))
         state.select(best)
+        free.remove(best)
         added.append(best)
     for v in reversed(added):
         state.deselect(v)

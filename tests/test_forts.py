@@ -161,11 +161,38 @@ def _select_deselect_find_forts(inst, hitting_set, seed):
     return forts
 
 
-def test_rollback_sweep_matches_the_deselect_sweep():
+def _fresh_observe_find_forts(inst, hitting_set, seed):
+    """Reference sweep that shares no incremental code with find_forts:
+    every removal and every minimisation step observes from scratch, and
+    every removed vertex is tried, in ascending id order."""
+    base = frozenset(hitting_set) | inst.pre_selected
+    pool = [v for v in inst.undecided() if v not in base]
+    rng = np.random.default_rng(seed)
+    order = [pool[int(i)] for i in rng.permutation(len(pool))]
+    forts, removed, prev_was_solution = [], set(), True
+    for i, u in enumerate(order):
+        if not prev_was_solution:
+            removed.discard(order[i - 1])
+        removed.add(u)
+        selected = base | (set(pool) - removed)
+        prev_was_solution = observe_from(inst, selected).is_complete()
+        if prev_was_solution:
+            continue
+        for p in sorted(removed - {u}):
+            if not observe_from(inst, selected | {p}).is_complete():
+                selected = selected | {p}
+        fort = observe_from(inst, selected).unobserved_vertices()
+        if fort not in forts:
+            forts.append(fort)
+    return forts
+
+
+def _sweep_corpus():
+    """(instance, hitting set, seed, find_forts result) over random
+    instances and grid-like graphs, feasible draws only."""
     rng = np.random.default_rng(7)
     corpus = ([random_instance(seed, n_max=20, m_max=40) for seed in range(100)]
               + [gridlike_graph(60, s) for s in range(1, 6)])
-    compared = 0
     for inst in corpus:
         for _ in range(2):
             hitting = frozenset(
@@ -175,6 +202,20 @@ def test_rollback_sweep_matches_the_deselect_sweep():
                 forts = find_forts(inst, hitting, seed=seed)
             except InfeasibleInstanceError:
                 continue
-            assert forts == _select_deselect_find_forts(inst, hitting, seed)
-            compared += len(forts)
+            yield inst, hitting, seed, forts
+
+
+def test_rollback_sweep_matches_the_deselect_sweep():
+    compared = 0
+    for inst, hitting, seed, forts in _sweep_corpus():
+        assert forts == _select_deselect_find_forts(inst, hitting, seed)
+        compared += len(forts)
+    assert compared > 300
+
+
+def test_sweep_matches_a_from_scratch_sweep():
+    compared = 0
+    for inst, hitting, seed, forts in _sweep_corpus():
+        assert forts == _fresh_observe_find_forts(inst, hitting, seed)
+        compared += len(forts)
     assert compared > 300

@@ -203,6 +203,46 @@ def test_rollback_restores_the_checkpoint_exactly():
     assert rollbacks > 500
 
 
+def test_deselect_in_a_dense_selection_matches_recompute():
+    # On dense graphs most vertices are dominated more than once, so a
+    # deselect mostly re-dominates under another selected neighbour. A
+    # checkpoint opened right after such a deselect must roll back to it.
+    rng = random.Random(4)
+    stayed = rollbacks = 0
+    for seed in range(40):
+        n = rng.randint(8, 30)
+        inst = random_instance(seed, n_max=n, n_min=n, m_max=n * (n - 1) // 3,
+                               x_max=0, y_max=0)
+        state = observe_from(inst, rng.sample(range(n), n // 2))
+        for _ in range(30):
+            free = [v for v in range(n) if v not in state.selected]
+            if state.selected and (not free or rng.random() < 0.5):
+                v = rng.choice(sorted(state.selected))
+                state.deselect(v)
+                stayed += state.observed[v]
+            else:
+                state.select(rng.choice(free))
+            ref = observe_from(inst, state.selected)
+            assert state.observed == ref.observed
+            assert state.unobs_count == ref.unobs_count
+            assert state.observed_count == ref.observed_count
+            for t, wit in enumerate(state.witness):
+                if wit is not None and wit[0] == "dom":
+                    assert wit[1] in state.selected
+                    assert wit[1] in inst.adj_sets[t]
+            _witness_is_forest(state)
+            if free and rng.random() < 0.3:
+                snap = _snapshot(state)
+                mark = state.checkpoint()
+                for v in rng.sample(free, min(3, len(free))):
+                    if v not in state.selected:
+                        state.select(v)
+                state.rollback(mark)
+                assert _snapshot(state) == snap
+                rollbacks += 1
+    assert stayed > 300 and rollbacks > 100
+
+
 def test_nested_checkpoint_at_an_empty_trail():
     # An inner checkpoint taken before anything is recorded must not
     # close the outer one when rolled back.

@@ -1,4 +1,5 @@
 import io
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from powerdom import (INFEASIBLE, OPTIMAL, TIMED_OUT, PdsInstance,
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.hittingset import HittingSetTimeout
+from powerdom.propagation import observe_from
 from powerdom.solver import BoundsTrace
 
 from conftest import (cycle_graph, disjoint_stars, grid_graph,
@@ -79,6 +81,57 @@ def test_greedy_keeps_h_untouched():
 def test_greedy_infeasible():
     with pytest.raises(InfeasibleInstanceError):
         greedy_complete(PdsInstance(1, excluded=[0]))
+
+
+def _rescan_greedy(inst, h=()):
+    """Reference greedy: every pick rescans each candidate's closed
+    neighbourhood on a fresh fixpoint, and the prune re-observes from
+    scratch for each added vertex, in reverse order."""
+    base = frozenset(h) | inst.pre_selected
+    added = []
+    while True:
+        state = observe_from(inst, base | set(added))
+        if state.is_complete():
+            break
+        observed = state.observed
+        best_key = None
+        for v in inst.undecided():
+            if v in base or v in added:
+                continue
+            unseen = [w for w in (v, *inst.adj[v]) if not observed[w]]
+            if not unseen:
+                continue
+            key = (-len(unseen),
+                   -sum(1 for w in unseen if w != v and inst.propagating[w]),
+                   v)
+            best_key = min(best_key or key, key)
+        if best_key is None:
+            raise InfeasibleInstanceError("no vertex extends the observed set")
+        added.append(best_key[2])
+    for v in reversed(list(added)):
+        rest = [u for u in added if u != v]
+        if observe_from(inst, base | set(rest)).is_complete():
+            added = rest
+    return base | set(added)
+
+
+def test_greedy_matches_a_rescanning_greedy():
+    rng = random.Random(5)
+    corpus = ([random_instance(s, n_max=25, m_max=50) for s in range(150)]
+              + [gridlike_graph(60, s) for s in range(1, 6)])
+    compared = 0
+    for inst in corpus:
+        undecided = inst.undecided()
+        for h in ((), [v for v in undecided if rng.random() < 0.2]):
+            try:
+                expected = _rescan_greedy(inst, h)
+            except InfeasibleInstanceError:
+                with pytest.raises(InfeasibleInstanceError):
+                    greedy_complete(inst, h)
+                continue
+            assert greedy_complete(inst, h).selected == expected
+            compared += 1
+    assert compared > 200
 
 
 def test_greedy_past_its_deadline_selects_every_undecided_vertex():
