@@ -11,21 +11,28 @@ anywhere, at its smallest site (vertex id, or edge pair), so the firing
 sequence is a function of the rule order and the vertex ids. The driver
 finds that step from a worklist rather than by rescanning every site:
 each enabled local rule keeps the set of sites it has still to test. A
-site leaves the set only when its guard fails, and every recorded event,
+site leaves the set when its guard fails, and every recorded event,
 local or not, puts back the sites whose guard inputs it touched. The
 guards read only a site's closed neighbourhood, the edges at its
 degree-two neighbours, and (Deg2c, ObsNP, ObsE) the observed set, whose
-net changes since those rules last tested are put back too. So a site
-outside the set never holds, and the smallest pending site that holds is
-the one a full rescan would fire: the worklist changes how many guards
-are tried, not which rule fires where.
+net changes since those rules last tested are put back too. A site is
+put back only on the sets of the rules that accept its class, the
+status, degree and propagating flag of its vertex or of both ends of its
+edge: a rule's guard fails at any other class, and every event that
+changes a vertex's class names the vertex. ObsE reads only its edge, the
+ends' statuses and their observed flags, so events put back its sites
+only at the edges they add. So a site outside the set never holds, and
+the smallest pending site that holds is the one a full rescan would
+fire: the worklist changes how many guards are tried, not which rule
+fires where.
 
 Every fire is checked. A rule other than ObsE must strictly decrease the
 measure alive + undecided + edges + propagating vertices, whose terms
 the work state's mutations keep up to date, so the check is O(1). ObsE
 must strictly decrease the number of edges between observed vertices
-that are not pre-selected; that count is taken only where its guard
-holds.
+that are not pre-selected. Only the edges at its edited edges' ends and
+at the vertices whose observed flag it flipped can change that count, so
+only those are counted, before and after each fire.
 
 "Observed" in rule guards always means observed by the pre-selected set
 alone, except in Dom and NecN, which add candidate selections to it.
@@ -204,12 +211,6 @@ class _Work:
     def measure(self):
         return (self.alive_count + self.undecided_count + self.edge_count
                 + self.propagating_count)
-
-    def observed_pair_count(self):
-        observed, status = self.obs.observed, self.status
-        return sum(1 for u in range(self.n) if observed[u] and status[u] != PRE
-                   for v in self.adj[u]
-                   if u < v and observed[v] and status[v] != PRE)
 
     def snapshot(self):
         """Compact alive vertices into a PdsInstance; returns (inst, to_work)."""
@@ -416,6 +417,34 @@ def _obse(work, site):
     return _obse_apply(work, site) if _obse_holds(work, site) else None
 
 
+def _observed_pair_drop(work, event, observed_before, flipped):
+    """How much an ObsE event lowered the number of edges between observed
+    vertices that are not pre-selected.
+
+    `observed_before` is a copy of the observed flags from before the
+    event and `flipped` holds every vertex whose flag the event changed.
+    Every other edge kept its ends' flags and is in the graph both before
+    and after, so only the edges at `flipped` and at the edited edges' ends
+    are counted. The graph before the event is the current one with the
+    removed edges put back and the added ones dropped.
+    """
+    status, adj = work.status, work.adj
+    ends = set(flipped)
+    for edge in event.edges_added + event.edges_removed:
+        ends.update(edge)
+
+    def pairs(observed):
+        return {(u, w) if u < w else (w, u) for u in ends
+                if observed[u] and status[u] != PRE
+                for w in adj[u] if observed[w] and status[w] != PRE}
+
+    before = pairs(observed_before) - set(event.edges_added)
+    before.update((u, w) for u, w in event.edges_removed
+                  if observed_before[u] and observed_before[w]
+                  and status[u] != PRE and status[w] != PRE)
+    return len(before) - len(pairs(work.obs.observed))
+
+
 _LOCAL_APPLY = {
     RuleId.DEG1A: _deg1a,
     RuleId.DEG1B: _deg1b,
@@ -431,16 +460,41 @@ _LOCAL_APPLY = {
 
 _EDGE_SITE_RULES = {RuleId.OBSE, RuleId.TRI, RuleId.DOM}
 _OBSERVING_RULES = {RuleId.DEG2C, RuleId.OBSNP, RuleId.OBSE}
-# The status a vertex rule's site must have for its guard to hold.
-_SITE_STATUS = {RuleId.DEG1A: UND, RuleId.DEG1B: EXC, RuleId.DEG2A: UND,
-                RuleId.DEG2B: EXC, RuleId.DEG2C: EXC, RuleId.ONLYN: EXC,
-                RuleId.ISOL: UND, RuleId.OBSNP: EXC}
+# Whether a local rule's guard can hold at a vertex of status s, degree d
+# (3 standing for 3 or more) and propagating flag p: at the site's vertex,
+# or at both ends of an edge site. Observed flags are left out, because
+# they may flip and flip back before the rule is next scanned.
+_ACCEPTS = {
+    RuleId.DEG1A: lambda s, d, p: s == UND and d == 1,
+    RuleId.DEG1B: lambda s, d, p: s == EXC and d == 1,
+    RuleId.TRI: lambda s, d, p: s != PRE and d == 2,
+    RuleId.DEG2A: lambda s, d, p: s == UND and d == 2 and p,
+    RuleId.DEG2B: lambda s, d, p: s == EXC and d == 2 and p,
+    RuleId.DEG2C: lambda s, d, p: s == EXC and d >= 2 and p,
+    RuleId.ONLYN: lambda s, d, p: s == EXC and d == 2 and p,
+    RuleId.ISOL: lambda s, d, p: s == UND and d == 0,
+    RuleId.OBSNP: lambda s, d, p: s == EXC and not p,
+    RuleId.OBSE: lambda s, d, p: s != PRE,
+}
+
+
+def _class_table(queues):
+    """For each vertex class (status s, degree d capped at 3, propagating
+    flag p), at index 8 s + 2 d + p, the vertex-site queues that accept it
+    and the edge-site queues that accept it as one end of an edge."""
+    table = [None] * 24
+    for s in (UND, PRE, EXC):
+        for d in range(4):
+            for p in (False, True):
+                accepting = [q for q in queues if q.accepts(s, d, p)]
+                table[8 * s + 2 * d + p] = (
+                    [q for q in accepting if not q.edge_sites],
+                    [q for q in accepting if q.edge_sites])
+    return table
 
 
 def _sites(work, rule):
-    if rule is RuleId.TRI:
-        return [(x, y) for x, y in work.edge_list()]
-    if rule is RuleId.OBSE:
+    if rule is RuleId.TRI or rule is RuleId.OBSE:
         return work.edge_list()
     if rule is RuleId.DOM:
         und = work.undecided()
@@ -534,9 +588,9 @@ class _Pending:
         self.heap = []
         self.members = set()
         self.apply = _LOCAL_APPLY[rule]
+        self.accepts = _ACCEPTS[rule]
         self.edge_sites = rule in _EDGE_SITE_RULES
         self.observing = rule in _OBSERVING_RULES
-        self.status = _SITE_STATUS.get(rule)
 
     def __bool__(self):
         return bool(self.heap)
@@ -563,11 +617,18 @@ class _Driver:
         # every site outside its set fails its guard. The observing rules'
         # sets hold that under the observed flags `tested_observed`; the
         # flags that changed since are put back before those rules are
-        # scanned.
+        # scanned. ObsE's guard reads only its edge, the ends' statuses and
+        # their observed flags. It can come to hold only at an added edge
+        # or at a flag change, so events put back its sites only at added
+        # edges.
         self.pending = [_Pending(r) for r in LOCAL_RULES if r in self.rules]
-        self.observing = [p for p in self.pending if p.observing]
+        self.obse = next((p for p in self.pending if p.apply is _obse), None)
+        self.by_class = _class_table(
+            [p for p in self.pending if p is not self.obse])
+        self.observing_by_class = _class_table(
+            [p for p in self.pending if p.observing])
         self.tested_observed = list(self.work.obs.observed)
-        self._requeue(self.work.vertices(), self.pending)
+        self._requeue(self.work.vertices(), _class_table(self.pending))
 
     def _expired(self):
         return (self.deadline is not None
@@ -580,7 +641,12 @@ class _Driver:
                 "reduction exceeded its polynomial event budget; "
                 "a rule is likely cycling")
         if self.pending:
-            self._requeue(self._touched_by(event), self.pending)
+            self._requeue(self._touched_by(event), self.by_class)
+        if self.obse is not None:
+            status = self.work.status
+            for u, v in event.edges_added:
+                if status[u] != PRE and status[v] != PRE:
+                    self.obse.add((u, v))
 
     def _touched_by(self, event):
         """Vertices whose sites' guards may read something the event changed.
@@ -605,29 +671,36 @@ class _Driver:
                     touched |= adj[end]
         return touched
 
-    def _requeue(self, vertices, queues):
+    def _requeue(self, vertices, table):
         """Put back the vertex sites in `vertices` and the edge sites at
-        them, on each of the `_Pending` queues. Sites with a pre-selected
-        vertex are left out: no local rule fires there, and pre-selection
-        is final. So is a vertex site whose status its rule does not
-        accept, since an event that changes a status names the vertex and
-        puts the site back then."""
+        them, each only on the queues of `table` (a `_class_table`) whose
+        rule accepts the site's class: the status, degree and propagating
+        flag of its vertex, or of both ends of its edge. A site of another
+        class fails its rule's guard, and stays out until an event changes
+        its class; every such event names the vertex, which `_touched_by`
+        then puts back. No rule accepts a pre-selected vertex, so sites at
+        one never come back: no local rule fires there, and pre-selection
+        is final."""
         work = self.work
-        status, adj = work.status, work.adj
-        live = [v for v in vertices if work.alive[v] and status[v] != PRE]
-        edges = None
-        for pending in queues:
-            if pending.edge_sites:
-                if edges is None:
-                    edges = [(min(v, w), max(v, w)) for v in live
-                             for w in adj[v] if status[w] != PRE]
-                for edge in edges:
-                    pending.add(edge)
-            else:
-                wanted = pending.status
-                for v in live:
-                    if status[v] == wanted:
-                        pending.add(v)
+        status, adj, alive = work.status, work.adj, work.alive
+        propagating = work.propagating
+        for v in vertices:
+            if not alive[v]:
+                continue
+            d = len(adj[v])
+            vertex_queues, edge_queues = table[
+                8 * status[v] + 2 * (d if d < 3 else 3) + propagating[v]]
+            for pending in vertex_queues:
+                pending.add(v)
+            if edge_queues:
+                for w in adj[v]:
+                    d = len(adj[w])
+                    at_w = table[8 * status[w] + 2 * (d if d < 3 else 3)
+                                 + propagating[w]][1]
+                    edge = (v, w) if v < w else (w, v)
+                    for pending in edge_queues:
+                        if pending in at_w:
+                            pending.add(edge)
 
     def _requeue_observation_changes(self):
         """Put back the observing rules' sites at vertices whose observed
@@ -643,7 +716,7 @@ class _Driver:
                 touched |= work.adj[v]
         work.obs_changed.clear()
         if touched:
-            self._requeue(touched, self.observing)
+            self._requeue(touched, self.observing_by_class)
 
     def _apply_checked(self, fn, site):
         if fn is _obse:
@@ -661,14 +734,17 @@ class _Driver:
 
     def _apply_obse(self, site):
         # ObsE may add as many edges as it removes, so its progress is
-        # checked on the observed pairs, which cost O(n + m) to count:
-        # they are counted only where the guard holds.
+        # checked on the observed pairs. The fire collects its own flag
+        # flips, so that only the edges it can have moved are counted.
         work = self.work
         if not _obse_holds(work, site):
             return False
-        pairs_before = work.observed_pair_count()
+        observed_before = list(work.obs.observed)
+        earlier, work.obs_changed = work.obs_changed, set()
         event = _obse_apply(work, site)
-        if work.observed_pair_count() >= pairs_before:
+        flipped, work.obs_changed = work.obs_changed, earlier
+        earlier |= flipped
+        if _observed_pair_drop(work, event, observed_before, flipped) <= 0:
             raise AssertionError("ObsE did not reduce observed pairs")
         self._record(event)
         return True
@@ -827,8 +903,9 @@ def reduce_full(inst, rules=None, deadline=None):
     """Full preprocessing: DFS pass, then {local, Dom, NecN} to fixpoint.
 
     Local rounds run from the worklist of pending sites, which every
-    event of every pass feeds, and fire exactly the sequence that
-    rescanning all rules and sites from the first after each fire would.
+    event of every pass feeds with the sites it touched whose class their
+    rule accepts, and fire exactly the sequence that rescanning all rules
+    and sites from the first after each fire would.
 
     `rules` may be a RuleId iterable or one of the named subsets
     ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none').

@@ -345,8 +345,6 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
                       fort_count, hs_solves)
     if len(lifted) != upper:
         raise AssertionError("incumbent size differs from the upper bound")
-    if not observe_from(inst, lifted.selected).is_complete():
-        raise AssertionError("solver produced an infeasible solution")
     trace.add_lower(clock(), upper)
     trace.add_upper(clock(), upper)
     return result(OPTIMAL, lifted, upper, upper, upper,

@@ -455,6 +455,31 @@ def test_dom_fires_a_covered_first_vertex_under_the_second():
         RuleId.DOM, (1, 0), excluded=(0,))
 
 
+def _in_class(inst, rule, site):
+    """Whether every vertex of the site is of a class the rule accepts."""
+    work = reductions._Work(inst)
+    accepts = reductions._ACCEPTS[rule]
+    ends = site if isinstance(site, tuple) else (site,)
+    return all(accepts(work.status[v], min(work.degree(v), 3),
+                       work.propagating[v]) for v in ends)
+
+
+def test_site_classes_keep_every_site_whose_guard_holds():
+    # Deg2c holds on none of the random or grid-like inputs, so every
+    # rule's own pattern is added.
+    insts = ([random_instance(seed) for seed in range(300)]
+             + [gridlike_graph(60, s) for s in range(1, 6)]
+             + [rule_pattern_instance(rule.value, seed)[0]
+                for rule in LOCAL_RULES for seed in range(5)])
+    held = set()
+    for inst in insts:
+        for rule in LOCAL_RULES:
+            for site in applicable_sites(inst, rule):
+                assert _in_class(inst, rule, site), (rule, site)
+                held.add(rule)
+    assert held == set(LOCAL_RULES)
+
+
 # --- invariant checks on every fire -----------------------------------------
 
 
@@ -522,3 +547,40 @@ def test_observed_pair_check_trips_on_obse_that_changes_nothing(monkeypatch):
     inst, _ = rule_pattern_instance("ObsE", 0)
     with pytest.raises(AssertionError, match="ObsE did not reduce"):
         reduce_full(inst, rules={RuleId.OBSE})
+
+
+def _observed_pair_count(work):
+    """Edges between observed vertices that are not pre-selected, counted
+    over the whole work graph."""
+    observed, status = work.obs.observed, work.status
+    return sum(1 for u in range(work.n)
+               if observed[u] and status[u] != reductions.PRE
+               for v in work.adj[u]
+               if u < v and observed[v] and status[v] != reductions.PRE)
+
+
+def test_local_obse_pair_drop_matches_a_full_recount(small_corpus,
+                                                     monkeypatch):
+    apply, drop = reductions._obse_apply, reductions._observed_pair_drop
+    before, checked = [], []
+
+    def counting_apply(work, site):
+        before.append(_observed_pair_count(work))
+        return apply(work, site)
+
+    def checking_drop(work, event, observed_before, flipped):
+        observed = work.obs.observed
+        assert {v for v in range(work.n)
+                if observed[v] != observed_before[v]} <= set(flipped)
+        local = drop(work, event, observed_before, flipped)
+        assert local == before.pop() - _observed_pair_count(work), event
+        checked.append(event)
+        return local
+
+    monkeypatch.setattr(reductions, "_obse_apply", counting_apply)
+    monkeypatch.setattr(reductions, "_observed_pair_drop", checking_drop)
+    for inst in (_firing_order_corpus(small_corpus)
+                 + [gridlike_graph(n, 1) for n in (300, 600, 1200)]):
+        reduce_full(inst)
+        assert not before
+    assert len(checked) > 1000
