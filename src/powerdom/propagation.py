@@ -106,6 +106,21 @@ class ObservationState:
         if prop[v] and self.unobs_count[v] == 1:
             queue.append(v)
 
+    def _dominate(self, v, queue):
+        """Select v and observe its closed neighbourhood, queueing the
+        vertices that may now propagate; the caller propagates."""
+        self.selected.add(v)
+        if self._levels:
+            self._trail.append((v, self.witness[v]))
+        if self.observed[v]:
+            self._unlink(v)
+            self.witness[v] = SELF
+        else:
+            self._mark(v, SELF, queue)
+        for w in self.inst.adj[v]:
+            if not self.observed[w]:
+                self._mark(w, ("dom", v), queue)
+
     def _propagate(self, queue):
         prop = self.inst.propagating
         while queue:
@@ -203,18 +218,8 @@ class ObservationState:
         """Add v to the selection and advance the fixpoint incrementally."""
         if v in self.selected:
             raise ValueError(f"vertex {v} already selected")
-        self.selected.add(v)
-        if self._levels:
-            self._trail.append((v, self.witness[v]))
         queue = deque()
-        if self.observed[v]:
-            self._unlink(v)
-            self.witness[v] = SELF
-        else:
-            self._mark(v, SELF, queue)
-        for w in self.inst.adj[v]:
-            if not self.observed[w]:
-                self._mark(w, ("dom", v), queue)
+        self._dominate(v, queue)
         self._propagate(queue)
         return self
 
@@ -315,15 +320,7 @@ def observe_from(inst, selected):
     state = ObservationState(inst)
     queue = deque()
     for v in sorted(set(selected)):
-        state.selected.add(v)
-        if not state.observed[v]:
-            state._mark(v, SELF, queue)
-        else:
-            state._unlink(v)
-            state.witness[v] = SELF
-        for w in inst.adj[v]:
-            if not state.observed[w]:
-                state._mark(w, ("dom", v), queue)
+        state._dominate(v, queue)
     state._propagate(queue)
     return state
 

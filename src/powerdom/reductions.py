@@ -26,13 +26,16 @@ the smallest pending site that holds is the one a full rescan would
 fire: the worklist changes how many guards are tried, not which rule
 fires where.
 
-Every fire is checked. A rule other than ObsE must strictly decrease the
-measure alive + undecided + edges + propagating vertices, whose terms
-the work state's mutations keep up to date, so the check is O(1). ObsE
-must strictly decrease the number of edges between observed vertices
-that are not pre-selected. Only the edges at its edited edges' ends and
-at the vertices whose observed flag it flipped can change that count, so
-only those are counted, before and after each fire.
+Every fire is checked, in one place: each recorded event must leave the
+measure alive + undecided + free edges + propagating vertices strictly
+below its value at the previous event. A free edge is one with no
+pre-selected end. The work state's mutations keep the four terms up to
+date, so the check is O(1). No rule deletes or un-selects a pre-selected
+vertex. ObsE removes a free edge and adds edges only at a pre-selected
+vertex, which are not free; every other rule removes a vertex, a
+propagating flag or an undecided status and adds at most as many free
+edges as it removes. The measure is a non-negative integer, so it also
+bounds the number of events by its starting value, at most 3n + m.
 
 "Observed" in rule guards always means observed by the pre-selected set
 alone, except in Dom and NecN, which add candidate selections to it.
@@ -121,8 +124,9 @@ class _Work:
 
     The mutation methods below are the only writers of the graph and the
     markings. Next to `alive_count` they keep three counters over the
-    alive vertices: `undecided_count`, `edge_count` (real insertions and
-    removals only) and `propagating_count`, so `measure()` costs O(1).
+    alive vertices: `undecided_count`, `edge_count`, which counts the free
+    edges, those with no pre-selected end, and `propagating_count`, so
+    `measure()` costs O(1).
     Its `n`, `adj`, `propagating` and `degree()` let an `ObservationState`
     run on it; deleted vertices have no edges and are never selected.
     `obs` is the observation state of the pre-selected set, which the
@@ -136,7 +140,6 @@ class _Work:
         self.alive = [True] * inst.n
         self.alive_count = inst.n
         self.adj = [set(inst.adj[v]) for v in range(inst.n)]
-        self.edge_count = inst.m
         self.propagating = list(inst.propagating)
         self.propagating_count = sum(self.propagating)
         self.status = [UND] * inst.n
@@ -145,6 +148,9 @@ class _Work:
         for v in inst.excluded:
             self.status[v] = EXC
         self.undecided_count = self.status.count(UND)
+        status = self.status
+        self.edge_count = sum(1 for u, v in inst.edges
+                              if status[u] != PRE and status[v] != PRE)
         self.obs = observe_from(self, self.pre_selected())
         self.obs_changed = set()
 
@@ -162,19 +168,21 @@ class _Work:
         if v not in self.adj[u]:
             self.adj[u].add(v)
             self.adj[v].add(u)
-            self.edge_count += 1
+            self.edge_count += self.status[u] != PRE and self.status[v] != PRE
             self.obs_changed.update(self.obs.edge_added(u, v))
 
     def remove_edge(self, u, v):
         if v in self.adj[u]:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
-            self.edge_count -= 1
+            self.edge_count -= self.status[u] != PRE and self.status[v] != PRE
             self.obs_changed.update(self.obs.edge_removed(u, v))
 
     def set_status(self, v, status):
         self.undecided_count += (status == UND) - (self.status[v] == UND)
         if status == PRE and self.status[v] != PRE:
+            self.edge_count -= sum(1 for w in self.adj[v]
+                                   if self.status[w] != PRE)
             obs = self.obs
             mark = obs.checkpoint()
             obs.select(v)
@@ -386,22 +394,19 @@ def _obsnp(work, v):
                           edges_removed=removed)
 
 
-def _obse_holds(work, site):
-    """ObsE guard; mutates nothing."""
+def _obse(work, site):
+    """Rewire an edge between observed vertices that are not pre-selected
+    to the smallest pre-selected id."""
     v, w = site
     if not (work.alive[v] and work.alive[w]) or w not in work.adj[v]:
-        return False
+        return None
     if work.status[v] == PRE or work.status[w] == PRE:
-        return False
+        return None
     # Only the pre-selected set observes, so observed endpoints imply that
     # a pre-selected vertex exists.
     observed = work.obs.observed
-    return observed[v] and observed[w]
-
-
-def _obse_apply(work, site):
-    """Rewire an edge whose guard holds to the smallest pre-selected id."""
-    v, w = site
+    if not (observed[v] and observed[w]):
+        return None
     x = min(work.obs.selected)
     added = []
     work.remove_edge(v, w)
@@ -411,38 +416,6 @@ def _obse_apply(work, site):
             added.append(tuple(sorted((end, x))))
     return ReductionEvent(RuleId.OBSE, (v, w), edges_added=tuple(added),
                           edges_removed=(tuple(sorted((v, w))),))
-
-
-def _obse(work, site):
-    return _obse_apply(work, site) if _obse_holds(work, site) else None
-
-
-def _observed_pair_drop(work, event, observed_before, flipped):
-    """How much an ObsE event lowered the number of edges between observed
-    vertices that are not pre-selected.
-
-    `observed_before` is a copy of the observed flags from before the
-    event and `flipped` holds every vertex whose flag the event changed.
-    Every other edge kept its ends' flags and is in the graph both before
-    and after, so only the edges at `flipped` and at the edited edges' ends
-    are counted. The graph before the event is the current one with the
-    removed edges put back and the added ones dropped.
-    """
-    status, adj = work.status, work.adj
-    ends = set(flipped)
-    for edge in event.edges_added + event.edges_removed:
-        ends.update(edge)
-
-    def pairs(observed):
-        return {(u, w) if u < w else (w, u) for u in ends
-                if observed[u] and status[u] != PRE
-                for w in adj[u] if observed[w] and status[w] != PRE}
-
-    before = pairs(observed_before) - set(event.edges_added)
-    before.update((u, w) for u, w in event.edges_removed
-                  if observed_before[u] and observed_before[w]
-                  and status[u] != PRE and status[w] != PRE)
-    return len(before) - len(pairs(work.obs.observed))
 
 
 _LOCAL_APPLY = {
@@ -612,7 +585,12 @@ class _Driver:
         self.rules = frozenset(rules)
         self.deadline = deadline
         self.events = []
-        self.budget = 8 * (inst.n + inst.m + 2) ** 2 + 64
+        # The work state's measure after the last recorded event. `_record`
+        # checks that every event, local, Dom or NecN, lowers it: ObsE by
+        # the free edge it takes away, since the edges it adds end at a
+        # pre-selected vertex, and every other rule by a vertex, a flag or
+        # an undecided status.
+        self.measure = self.work.measure()
         # Pending sites per enabled local rule, in `LOCAL_RULES` order;
         # every site outside its set fails its guard. The observing rules'
         # sets hold that under the observed flags `tested_observed`; the
@@ -635,11 +613,12 @@ class _Driver:
                 and time.perf_counter() > self.deadline)
 
     def _record(self, event):
+        measure = self.work.measure()
+        if measure >= self.measure:
+            raise AssertionError(
+                f"{event.rule.value} did not decrease the reduction measure")
+        self.measure = measure
         self.events.append(event)
-        if len(self.events) > self.budget:
-            raise RuntimeError(
-                "reduction exceeded its polynomial event budget; "
-                "a rule is likely cycling")
         if self.pending:
             self._requeue(self._touched_by(event), self.by_class)
         if self.obse is not None:
@@ -719,33 +698,9 @@ class _Driver:
             self._requeue(touched, self.observing_by_class)
 
     def _apply_checked(self, fn, site):
-        if fn is _obse:
-            return self._apply_obse(site)
-        work = self.work
-        before = work.measure()
-        event = fn(work, site)
+        event = fn(self.work, site)
         if event is None:
             return False
-        if work.measure() >= before:
-            raise AssertionError(
-                f"{event.rule.value} did not decrease the reduction measure")
-        self._record(event)
-        return True
-
-    def _apply_obse(self, site):
-        # ObsE may add as many edges as it removes, so its progress is
-        # checked on the observed pairs. The fire collects its own flag
-        # flips, so that only the edges it can have moved are counted.
-        work = self.work
-        if not _obse_holds(work, site):
-            return False
-        observed_before = list(work.obs.observed)
-        earlier, work.obs_changed = work.obs_changed, set()
-        event = _obse_apply(work, site)
-        flipped, work.obs_changed = work.obs_changed, earlier
-        earlier |= flipped
-        if _observed_pair_drop(work, event, observed_before, flipped) <= 0:
-            raise AssertionError("ObsE did not reduce observed pairs")
         self._record(event)
         return True
 

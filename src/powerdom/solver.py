@@ -135,18 +135,18 @@ def greedy_complete(inst, h=(), deadline=None):
     return SolutionSet(frozenset(state.selected))
 
 
-def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
-                     deadline=None, report=None, incumbent=None):
+def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
+                     incumbent=None):
     """Implicit hitting set loop for one (sub)instance.
 
-    Intended for kernels but correct on any instance. `report(kind, value)`
+    Intended for kernels but correct on any instance. `deadline` is a
+    `time.perf_counter()` value; once it passes, the loop returns
+    TimedOut with the best solution so far. `report(kind, value)`
     receives the same bound events that land in `trace`; values count the
     instance's pre-selected vertices. `incumbent` is `greedy_complete(sub)`
     when the caller has it already.
     """
     t0 = time.perf_counter()
-    if deadline is None and time_limit is not None:
-        deadline = t0 + time_limit
     trace = trace if trace is not None else BoundsTrace()
 
     def emit(kind, value):
@@ -227,9 +227,13 @@ def ihs_kernel_solve(sub, seed=0, time_limit=None, trace=None,
         grow(hit)
 
 
-def _solve_part(sub, seed, time_limit, incumbent):
+def _solve_part(sub, seed, seconds_left, incumbent):
+    """`ihs_kernel_solve` in a worker process, whose `perf_counter` need
+    not share the parent's origin, so the deadline is taken here."""
+    deadline = (None if seconds_left is None
+                else time.perf_counter() + seconds_left)
     trace = BoundsTrace()
-    res = ihs_kernel_solve(sub, seed=seed, time_limit=time_limit, trace=trace,
+    res = ihs_kernel_solve(sub, seed=seed, trace=trace, deadline=deadline,
                            incumbent=incumbent)
     return res, [(kind, value) for _t, kind, value in trace.events]
 
