@@ -8,8 +8,8 @@ from .bruteforce import (enumerate_minimal_forts, ipds_observed_set,
 from .decompose import Decomposition, SubInstance, merge_solutions, split
 from .errors import (GuardExceededError, InfeasibleInstanceError, ParseError,
                      PowerDomError)
-from .forts import (FortFamily, closed_neighborhood, find_forts,
-                    fort_from_candidate, is_fort, minimize_fort)
+from .forts import (closed_neighborhood, find_forts, fort_from_candidate,
+                    is_fort, minimize_fort)
 from .hardness import (Circuit, IpdsInstance, Transform, eliminate_booster_edges,
                        eliminate_implication_arcs, eval_circuit, full_chain, full_chain_detailed,
                        ipds_ext_to_ipds, parse_circuit, pds_to_simple,

@@ -87,31 +87,6 @@ def _reselect(state, pool, deadline=None):
             state.rollback(mark)
 
 
-class FortFamily:
-    """Fort neighborhoods collected for the hitting set instance.
-
-    Neighborhoods are deduplicated as sets; each one remembers a
-    generating fort.
-    """
-
-    def __init__(self):
-        self.neighborhoods = []
-        self.forts = []
-        self._seen = set()
-
-    def __len__(self):
-        return len(self.neighborhoods)
-
-    def add(self, inst, fort):
-        hood = closed_neighborhood(inst, fort)
-        if hood in self._seen:
-            return False
-        self._seen.add(hood)
-        self.neighborhoods.append(hood)
-        self.forts.append(frozenset(fort))
-        return True
-
-
 def find_forts(inst, hitting_set, seed=0, deadline=None):
     """Candidate-sequence fort heuristic.
 

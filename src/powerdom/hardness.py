@@ -161,11 +161,6 @@ class IpdsInstance(PdsInstance):
                 arcs.append((u, v))
         self.implication_arcs = tuple(arcs)
 
-    @classmethod
-    def from_pds(cls, inst, booster_edges=(), implication_arcs=()):
-        return cls(inst.n, inst.edges, inst.propagating, inst.pre_selected,
-                   inst.excluded, inst.labels, booster_edges, implication_arcs)
-
     def to_pds(self):
         if self.booster_edges or self.implication_arcs:
             raise ValueError("instance still has booster edges or arcs")

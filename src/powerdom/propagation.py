@@ -19,6 +19,12 @@ covers: such a vertex stays observed under the new witness, and only
 the rest is invalidated, so a deselect inside a dense selection often
 invalidates nothing.
 
+A vertex propagates to its single unobserved neighbour, after which all
+its neighbours are observed, so it has at most one propagation child at
+a time. Before it could propagate again, a neighbour must lose its
+observation or it must gain an edge, and both first take that child
+back; so each vertex keeps its child as one id.
+
 A caller that only tries selections and takes them back can instead open
 a checkpoint and roll back to it. While a checkpoint is open, every
 select and every vertex it newly observes is recorded on a trail;
@@ -59,9 +65,16 @@ class ObservationState:
     is. `marked_since(mark)` lists the vertices newly observed since
     checkpoint `mark` was opened. `deselect` raises while any checkpoint
     is open.
+
+    `prop_child[u]` is w exactly when `witness[w]` is ("prop", u), else
+    -1. `_propagate` sets it, `_unlink` clears it when w is unmarked or
+    re-witnessed, and `rollback` restores it. `_invalidate` of any t
+    unmarks the children of t and of t's neighbours, and `edge_added` and
+    `flag_cleared` seed it with the children they find, so a vertex's
+    child is gone before the vertex can propagate again.
     """
 
-    __slots__ = ("inst", "selected", "observed", "witness", "prop_children",
+    __slots__ = ("inst", "selected", "observed", "witness", "prop_child",
                  "unobs_count", "observed_count", "_trail", "_levels")
 
     def __init__(self, inst):
@@ -69,7 +82,7 @@ class ObservationState:
         self.selected = set()
         self.observed = [False] * inst.n
         self.witness = [None] * inst.n
-        self.prop_children = [set() for _ in range(inst.n)]
+        self.prop_child = [-1] * inst.n
         self.unobs_count = [inst.degree(v) for v in range(inst.n)]
         self.observed_count = 0
         # Undo records while a checkpoint is open: a marked vertex as its
@@ -80,9 +93,6 @@ class ObservationState:
 
     def is_complete(self):
         return self.observed_count == self.inst.n
-
-    def is_observed(self, v):
-        return self.observed[v]
 
     def observed_vertices(self):
         return frozenset(v for v in range(self.inst.n) if self.observed[v])
@@ -130,13 +140,13 @@ class ObservationState:
             for w in self.inst.adj[u]:
                 if not self.observed[w]:
                     self._mark(w, ("prop", u), queue)
-                    self.prop_children[u].add(w)
+                    self.prop_child[u] = w
                     break
 
     def _unlink(self, v):
         w = self.witness[v]
         if w is not None and w[0] == "prop":
-            self.prop_children[w[1]].discard(v)
+            self.prop_child[w[1]] = -1
 
     def _unmark(self, v):
         self._unlink(v)
@@ -150,25 +160,21 @@ class ObservationState:
         """Unmark the observed seeds and every observation derived through
         an unmarked vertex; returns the unmarked vertices."""
         observed, adj = self.observed, self.inst.adj
-        prop_children = self.prop_children
+        prop_child = self.prop_child
         # A propagation witness (u -> w) depends on u and on all other
-        # neighbors of u being observed, so unobserving t kills every
-        # propagation out of t and out of t's neighbors.
+        # neighbors of u being observed, so unobserving t kills the
+        # propagation out of t and out of each of t's neighbors.
         invalid = []
         for t in seeds:
             if observed[t]:
                 self._unmark(t)
                 invalid.append(t)
         for t in invalid:
-            for w in list(prop_children[t]):
-                if observed[w]:
+            for u in (t, *adj[t]):
+                w = prop_child[u]
+                if w != -1 and w != t and observed[w]:
                     self._unmark(w)
                     invalid.append(w)
-            for u in adj[t]:
-                for w in [c for c in prop_children[u] if c != t]:
-                    if observed[w]:
-                        self._unmark(w)
-                        invalid.append(w)
         return invalid
 
     def _repair(self, invalid, ends=()):
@@ -259,8 +265,8 @@ class ObservationState:
         self.unobs_count[u] += not self.observed[v]
         self.unobs_count[v] += not self.observed[u]
         # Propagations out of u and v counted on their old neighborhoods.
-        return self._edit([*self.prop_children[u], *self.prop_children[v]],
-                          (u, v))
+        children = (self.prop_child[u], self.prop_child[v])
+        return self._edit([w for w in children if w != -1], (u, v))
 
     def edge_removed(self, u, v):
         """Report that the edge uv was removed from the graph."""
@@ -275,7 +281,8 @@ class ObservationState:
     def flag_cleared(self, v):
         """Report that v no longer propagates."""
         self._no_checkpoint("flag_cleared")
-        return self._edit(list(self.prop_children[v]), ())
+        child = self.prop_child[v]
+        return self._edit([] if child == -1 else [child], ())
 
     def checkpoint(self):
         """Open a checkpoint; returns the mark to roll back to."""
@@ -296,7 +303,7 @@ class ObservationState:
                 if witness is not None:
                     self.witness[v] = witness
                     if witness[0] == "prop":
-                        self.prop_children[witness[1]].add(v)
+                        self.prop_child[witness[1]] = v
             else:
                 self._unmark(entry)
         return self

@@ -14,17 +14,18 @@ each enabled local rule keeps the set of sites it has still to test. A
 site leaves the set when its guard fails, and every recorded event,
 local or not, puts back the sites whose guard inputs it touched. The
 guards read only a site's closed neighbourhood, the edges at its
-degree-two neighbours, and (Deg2c, ObsNP, ObsE) the observed set, whose
-net changes since those rules last tested are put back too. A site is
-put back only on the sets of the rules that accept its class, the
-status, degree and propagating flag of its vertex or of both ends of its
-edge: a rule's guard fails at any other class, and every event that
-changes a vertex's class names the vertex. ObsE reads only its edge, the
-ends' statuses and their observed flags, so events put back its sites
-only at the edges they add. So a site outside the set never holds, and
-the smallest pending site that holds is the one a full rescan would
-fire: the worklist changes how many guards are tried, not which rule
-fires where.
+degree-two neighbours, and (Deg2c, ObsNP, ObsE) the observed set. Every
+observed flag changes inside a recorded event, so the same record also
+puts back the sites at each vertex whose flag the event changed, and at
+its neighbours. A site is put back only on the sets of the rules that
+accept its class, the status, degree and propagating flag of its vertex
+or of both ends of its edge: a rule's guard fails at any other class,
+and every event that changes a vertex's class names the vertex. ObsE
+reads only its edge, the ends' statuses and their observed flags, so
+events put back its sites only at the edges they add and at changed
+flags. So a site outside the set never holds, and the smallest pending
+site that holds is the one a full rescan would fire: the worklist
+changes how many guards are tried, not which rule fires where.
 
 Every fire is checked, in one place: each recorded event must leave the
 measure alive + undecided + free edges + propagating vertices strictly
@@ -432,7 +433,6 @@ _LOCAL_APPLY = {
 }
 
 _EDGE_SITE_RULES = {RuleId.OBSE, RuleId.TRI, RuleId.DOM}
-_OBSERVING_RULES = {RuleId.DEG2C, RuleId.OBSNP, RuleId.OBSE}
 # Whether a local rule's guard can hold at a vertex of status s, degree d
 # (3 standing for 3 or more) and propagating flag p: at the site's vertex,
 # or at both ends of an edge site. Observed flags are left out, because
@@ -484,9 +484,10 @@ def _sites(work, rule):
 def _dom(work, state, v, w):
     """Exclude undecided w when the state, which selects v on top of the
     pre-selected set, observes N[w]."""
-    if work.status[w] != UND or not state.is_observed(w):
+    observed = state.observed
+    if work.status[w] != UND or not observed[w]:
         return None
-    if not all(state.is_observed(t) for t in work.adj[w]):
+    if not all(observed[t] for t in work.adj[w]):
         return None
     work.set_status(w, EXC)
     return ReductionEvent(RuleId.DOM, (v, w), excluded=(w,))
@@ -563,7 +564,6 @@ class _Pending:
         self.apply = _LOCAL_APPLY[rule]
         self.accepts = _ACCEPTS[rule]
         self.edge_sites = rule in _EDGE_SITE_RULES
-        self.observing = rule in _OBSERVING_RULES
 
     def __bool__(self):
         return bool(self.heap)
@@ -592,28 +592,29 @@ class _Driver:
         # an undecided status.
         self.measure = self.work.measure()
         # Pending sites per enabled local rule, in `LOCAL_RULES` order;
-        # every site outside its set fails its guard. The observing rules'
-        # sets hold that under the observed flags `tested_observed`; the
-        # flags that changed since are put back before those rules are
-        # scanned. ObsE's guard reads only its edge, the ends' statuses and
-        # their observed flags. It can come to hold only at an added edge
-        # or at a flag change, so events put back its sites only at added
-        # edges.
+        # every site outside its set fails its guard. `_record` puts back
+        # the sites an event touched on `by_class`, and the sites at each
+        # vertex whose observed flag differs from `tested_observed`, the
+        # flags the sets were last put back under, on `all_by_class`.
+        # ObsE's guard reads only its edge, the ends' statuses and their
+        # observed flags. It can come to hold only at an added edge or at
+        # a flag change, so it is on `all_by_class` alone, and events put
+        # back its sites at the edges they add.
         self.pending = [_Pending(r) for r in LOCAL_RULES if r in self.rules]
         self.obse = next((p for p in self.pending if p.apply is _obse), None)
         self.by_class = _class_table(
             [p for p in self.pending if p is not self.obse])
-        self.observing_by_class = _class_table(
-            [p for p in self.pending if p.observing])
+        self.all_by_class = _class_table(self.pending)
         self.tested_observed = list(self.work.obs.observed)
-        self._requeue(self.work.vertices(), _class_table(self.pending))
+        self._requeue(self.work.vertices(), self.all_by_class)
 
     def _expired(self):
         return (self.deadline is not None
                 and time.perf_counter() > self.deadline)
 
     def _record(self, event):
-        measure = self.work.measure()
+        work = self.work
+        measure = work.measure()
         if measure >= self.measure:
             raise AssertionError(
                 f"{event.rule.value} did not decrease the reduction measure")
@@ -621,8 +622,19 @@ class _Driver:
         self.events.append(event)
         if self.pending:
             self._requeue(self._touched_by(event), self.by_class)
+            # A Dom fire, recorded under the pass's trial selection, only
+            # excludes, which leaves `obs` and so `obs_changed` alone.
+            observed, tested = work.obs.observed, self.tested_observed
+            flipped = set()
+            for v in work.obs_changed:
+                if observed[v] != tested[v]:
+                    tested[v] = observed[v]
+                    flipped.add(v)
+                    flipped |= work.adj[v]
+            self._requeue(flipped, self.all_by_class)
+        work.obs_changed.clear()
         if self.obse is not None:
-            status = self.work.status
+            status = work.status
             for u, v in event.edges_added:
                 if status[u] != PRE and status[v] != PRE:
                     self.obse.add((u, v))
@@ -681,22 +693,6 @@ class _Driver:
                         if pending in at_w:
                             pending.add(edge)
 
-    def _requeue_observation_changes(self):
-        """Put back the observing rules' sites at vertices whose observed
-        flag changed since those rules last tested, and at their
-        neighbours."""
-        work = self.work
-        observed, tested = work.obs.observed, self.tested_observed
-        touched = set()
-        for v in work.obs_changed:
-            if observed[v] != tested[v]:
-                tested[v] = observed[v]
-                touched.add(v)
-                touched |= work.adj[v]
-        work.obs_changed.clear()
-        if touched:
-            self._requeue(touched, self.observing_by_class)
-
     def _apply_checked(self, fn, site):
         event = fn(self.work, site)
         if event is None:
@@ -744,8 +740,6 @@ class _Driver:
         are dropped; returns False when no pending site holds."""
         work = self.work
         for pending in self.pending:
-            if pending.observing:
-                self._requeue_observation_changes()
             fn = pending.apply
             edge_sites = pending.edge_sites
             while pending:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .decompose import merge_solutions, split
 from .errors import InfeasibleInstanceError
-from .forts import FortFamily, find_forts
+from .forts import closed_neighborhood, find_forts
 from .hittingset import HittingSetInstance, HittingSetTimeout, solve_exact
 from .instance import SolutionSet
 from .propagation import observe_from
@@ -69,6 +69,9 @@ class BoundsTrace:
 
 @dataclass
 class SolveResult:
+    """`fort_count` counts the rows of the hitting-set instances, one per
+    distinct fort neighborhood, summed over the parts."""
+
     status: str
     solution: SolutionSet | None
     gamma_p: int | None
@@ -145,6 +148,12 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
     receives the same bound events that land in `trace`; values count the
     instance's pre-selected vertices. `incumbent` is `greedy_complete(sub)`
     when the caller has it already.
+
+    Each fort's closed neighborhood goes straight into the hitting-set
+    instance, which drops repeats, so the result's `fort_count` is its
+    number of rows. A neighborhood never meets the pre-selected set, so
+    two share a row only when they differ in excluded vertices alone,
+    which ask nothing of the hitting set.
     """
     t0 = time.perf_counter()
     trace = trace if trace is not None else BoundsTrace()
@@ -170,7 +179,6 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
         return result(OPTIMAL, sol, x_size, x_size, x_size, 0, 0)
 
     rng = np.random.default_rng(seed)
-    family = FortFamily()
     universe = frozenset(sub.undecided())
     hs = HittingSetInstance(universe)
 
@@ -180,9 +188,7 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
     def grow(hitting_set):
         forts = find_forts(sub, hitting_set, seed=rng, deadline=deadline)
         before = len(hs)
-        for fort in forts:
-            if family.add(sub, fort):
-                hs.add_sets([family.neighborhoods[-1]])
+        hs.add_sets(closed_neighborhood(sub, f) for f in forts)
         if hs.infeasible_sets:
             raise InfeasibleInstanceError(
                 "a fort neighborhood contains no selectable vertex")
@@ -201,13 +207,13 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
     while True:
         if expired():
             return result(TIMED_OUT, best, None, lower, len(best),
-                          len(family), solves)
+                          len(hs), solves)
         try:
             hit, size = solve_exact(hs, lower_bound_hint=lb_hint,
                                     deadline=deadline)
         except HittingSetTimeout:
             return result(TIMED_OUT, best, None, lower, len(best),
-                          len(family), solves)
+                          len(hs), solves)
         solves += 1
         lb_hint = size
         lower = x_size + size
@@ -223,7 +229,7 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
         if lower == len(best):
             # Bound sandwich: the incumbent is optimal.
             return result(OPTIMAL, best, lower, lower, lower,
-                          len(family), solves)
+                          len(hs), solves)
         grow(hit)
 
 

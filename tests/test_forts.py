@@ -6,7 +6,7 @@ import pytest
 from powerdom import (enumerate_minimal_forts, find_forts, fort_from_candidate,
                       is_fort, minimize_fort, oracle_pds)
 from powerdom.errors import InfeasibleInstanceError
-from powerdom.forts import FortFamily, closed_neighborhood
+from powerdom.forts import closed_neighborhood
 from powerdom.instance import PdsInstance
 from powerdom.propagation import observe_from
 
@@ -107,15 +107,6 @@ def test_find_forts_properties():
             hood = closed_neighborhood(inst, fort)
             assert not hood & base  # never already hit
     assert emitted > 50
-
-
-def test_fort_family_dedupes():
-    p3 = path_graph(3)
-    family = FortFamily()
-    assert family.add(p3, frozenset({0, 2}))
-    assert not family.add(p3, frozenset({0, 2}))
-    assert len(family) == 1
-    assert family.neighborhoods[0] == {0, 1, 2}
 
 
 def test_every_optimum_hits_every_fort_neighborhood():

@@ -88,6 +88,11 @@ def test_observation_neighborhood():
 
 
 def _witness_is_forest(state):
+    # Each vertex's one propagation child is the vertex whose witness
+    # names it; checked first, so that a stale child fails here.
+    children = {(u, w) for u, w in enumerate(state.prop_child) if w != -1}
+    assert children == {(wit[1], w) for w, wit in enumerate(state.witness)
+                        if wit is not None and wit[0] == "prop"}
     for v in range(state.inst.n):
         if not state.observed[v]:
             assert state.witness[v] is None
@@ -155,7 +160,7 @@ def test_monotonicity():
 def _snapshot(state):
     return (state.observed_vertices(), list(state.witness),
             list(state.unobs_count), state.observed_count,
-            set(state.selected), [set(c) for c in state.prop_children])
+            set(state.selected), list(state.prop_child))
 
 
 def test_rollback_restores_the_checkpoint_exactly():
