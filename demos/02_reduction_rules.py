@@ -1,9 +1,9 @@
 """Shrink an instance with the reduction rules and lift a solution back.
 
-The driver runs a DFS post-order pass of the degree rules, then
-alternates exhaustive local rounds with the domination and
-necessary-node rules until nothing changes. The kernel is an equivalent
-extension instance; solutions lift back through the recorded log.
+The driver alternates exhaustive rounds of the local rules with the
+domination and necessary-node rules until nothing changes. The kernel is
+an equivalent extension instance; solutions lift back through the
+recorded log.
 """
 
 from powerdom import PdsInstance, lift_solution, oracle_pds, reduce_full

@@ -23,9 +23,8 @@ from .milp import (MilpModel, build_fort_ilp, build_hitting_set_ilp,
 from .propagation import ObservationState, observation_neighborhood, observe_from
 from .reductions import (LOCAL_RULES, NONLOCAL_RULES, RULE_SUBSETS,
                          ReductionEvent, ReductionLog, RuleId,
-                         applicable_sites, apply_local_exhaustive,
-                         apply_nonlocal, apply_rule_once, lift_solution,
-                         reduce_full)
+                         applicable_sites, apply_nonlocal, apply_rule_once,
+                         lift_solution, reduce_full)
 from .solver import (BoundsTrace, INFEASIBLE, OPTIMAL, TIMED_OUT, SolveResult,
                      greedy_complete, ihs_kernel_solve, solve)
 

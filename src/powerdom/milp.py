@@ -185,9 +185,8 @@ def write_lp(model):
     Binaries / End), one constraint per line."""
     lines = ["Minimize", f" obj: {_format_terms(model.objective)}", "Subject To"]
     for c in model.constraints:
-        sense = c.sense if c.sense != "=" else "="
         rhs = int(c.rhs) if c.rhs == int(c.rhs) else c.rhs
-        lines.append(f" {c.name}: {_format_terms(c.coeffs)} {sense} {rhs}")
+        lines.append(f" {c.name}: {_format_terms(c.coeffs)} {c.sense} {rhs}")
     bounds = [v for v in model.variables.values() if v.kind == "continuous"]
     if bounds:
         lines.append("Bounds")

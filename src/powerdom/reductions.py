@@ -2,9 +2,8 @@
 
 Each rule either shrinks the graph or decides a vertex (pre-select or
 exclude) while preserving the optimum of the extension instance. The
-driver runs a DFS post-order pass of the cheap degree rules, then
-alternates exhaustive local rounds with the two observation-neighborhood
-rules until nothing fires.
+driver alternates exhaustive local rounds with the two
+observation-neighborhood rules, Dom and NecN, until nothing fires.
 
 Each local step fires the first rule in `LOCAL_RULES` order that holds
 anywhere, at its smallest site (vertex id, or edge pair), so the firing
@@ -693,47 +692,6 @@ class _Driver:
                         if pending in at_w:
                             pending.add(edge)
 
-    def _apply_checked(self, fn, site):
-        event = fn(self.work, site)
-        if event is None:
-            return False
-        self._record(event)
-        return True
-
-    def dfs_pass(self):
-        inst = self.work.inst
-        wanted = [_LOCAL_APPLY[r] for r in (RuleId.DEG1A, RuleId.DEG1B,
-                                            RuleId.DEG2A) if r in self.rules]
-        if not wanted:
-            return
-        seen = [False] * inst.n
-        order = []
-        for root in range(inst.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            stack = [(root, iter(inst.adj[root]))]
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append((w, iter(inst.adj[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(v)
-                    stack.pop()
-        for v in order:
-            changed = True
-            while changed and self.work.alive[v]:
-                changed = False
-                for fn in wanted:
-                    if self._apply_checked(fn, v):
-                        changed = True
-                        break
-
     def _fire_next(self):
         """Fire the first local rule, in `LOCAL_RULES` order, whose guard
         holds at a pending site, at its smallest such site. Sites that fail
@@ -748,7 +706,9 @@ class _Driver:
                     live = site[1] in work.adj[site[0]]
                 else:
                     live = work.alive[site]
-                if live and self._apply_checked(fn, site):
+                event = live and fn(work, site)
+                if event:
+                    self._record(event)
                     return True
         return False
 
@@ -814,7 +774,6 @@ class _Driver:
 
     def run(self):
         """Reduce to a fixpoint, or until the deadline passes."""
-        self.dfs_pass()
         while not self._expired():
             changed = self.local_round()
             if RuleId.DOM in self.rules and not self._expired():
@@ -823,15 +782,6 @@ class _Driver:
                 changed |= self.necn_pass()
             if not changed:
                 break
-
-
-def apply_local_exhaustive(inst, rules=LOCAL_RULES):
-    """Apply local rules until none fires anywhere; no DFS pre-pass."""
-    driver = _Driver(inst, set(rules) & set(LOCAL_RULES))
-    driver.local_round()
-    kernel, to_original = driver.work.snapshot()
-    log = ReductionLog(inst, driver.events, to_original)
-    return kernel, log
 
 
 def apply_nonlocal(inst, rule):
@@ -849,7 +799,7 @@ def apply_nonlocal(inst, rule):
 
 
 def reduce_full(inst, rules=None, deadline=None):
-    """Full preprocessing: DFS pass, then {local, Dom, NecN} to fixpoint.
+    """Full preprocessing: local rounds, Dom and NecN to a fixpoint.
 
     Local rounds run from the worklist of pending sites, which every
     event of every pass feeds with the sites it touched whose class their
@@ -857,17 +807,26 @@ def reduce_full(inst, rules=None, deadline=None):
     and sites from the first after each fire would.
 
     `rules` may be a RuleId iterable or one of the named subsets
-    ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none').
+    ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none');
+    anything else raises ValueError.
     `deadline` is a `time.perf_counter()` value. It is checked between
     the passes, before every fire of a local rule and before each vertex
-    a Dom or NecN pass tries; once it has passed, the kernel reached so
-    far is returned. That kernel is still safe, because every applied
-    event is. Returns (kernel, log, stats).
+    a Dom or NecN pass tries, so a deadline that has already passed
+    leaves the input as it is. Once it passes, the kernel reached so far
+    is returned. That kernel is still safe, because every applied event
+    is. Returns (kernel, log, stats).
     """
     if rules is None:
         rules = RULE_SUBSETS["all"]
     elif isinstance(rules, str):
+        if rules not in RULE_SUBSETS:
+            raise ValueError(f"unknown reduction subset {rules!r}")
         rules = RULE_SUBSETS[rules]
+    else:
+        rules = tuple(rules)
+        for rule in rules:
+            if not isinstance(rule, RuleId):
+                raise ValueError(f"{rule!r} is not a reduction rule")
     driver = _Driver(inst, rules, deadline)
     driver.run()
     kernel, to_original = driver.work.snapshot()

@@ -20,7 +20,7 @@ from .forts import closed_neighborhood, find_forts
 from .hittingset import HittingSetInstance, HittingSetTimeout, solve_exact
 from .instance import SolutionSet
 from .propagation import observe_from
-from .reductions import RULE_SUBSETS, lift_solution, reduce_full
+from .reductions import lift_solution, reduce_full
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -172,11 +172,13 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
                            forts, solves, time.perf_counter() - t0, {}, seed)
 
     x_size = len(sub.pre_selected)
-    if observe_from(sub, sub.pre_selected).is_complete():
-        sol = SolutionSet(frozenset(sub.pre_selected))
+    best = (incumbent if incumbent is not None
+            else greedy_complete(sub, (), deadline=deadline))
+    if len(best) == x_size:
+        # The pre-selected set alone observes everything.
         emit("lower", x_size)
         emit("upper", x_size)
-        return result(OPTIMAL, sol, x_size, x_size, x_size, 0, 0)
+        return result(OPTIMAL, best, x_size, x_size, x_size, 0, 0)
 
     rng = np.random.default_rng(seed)
     universe = frozenset(sub.undecided())
@@ -198,8 +200,6 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
             raise AssertionError("fort generation added no new neighborhood")
 
     grow(frozenset())
-    best = (incumbent if incumbent is not None
-            else greedy_complete(sub, (), deadline=deadline))
     emit("upper", len(best))
     lb_hint = 0
     solves = 0
@@ -283,8 +283,6 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
     def clock():
         return time.perf_counter() - t0
 
-    if reductions not in RULE_SUBSETS:
-        raise ValueError(f"unknown reduction subset {reductions!r}")
     kernel, log, stats = reduce_full(inst, reductions, deadline=deadline)
 
     def result(status, solution, gamma, lower, upper, forts, solves):

@@ -4,9 +4,9 @@ import time
 import pytest
 
 from powerdom import (LOCAL_RULES, Circuit, PdsInstance, RuleId,
-                      applicable_sites, apply_local_exhaustive, apply_nonlocal,
-                      apply_rule_once, full_chain_detailed, lift_solution,
-                      observe_from, oracle_pds, reduce_full, reductions)
+                      applicable_sites, apply_nonlocal, apply_rule_once,
+                      full_chain_detailed, lift_solution, observe_from,
+                      oracle_pds, reduce_full, reductions)
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 
@@ -136,7 +136,7 @@ def test_necn_isolated_pair():
 
 def test_local_exhaustive_p2():
     # Deg1a excludes one endpoint, Deg1b deletes it, Isol selects the rest
-    kernel, log = apply_local_exhaustive(path_graph(2))
+    kernel, log, _ = reduce_full(path_graph(2), "local")
     assert kernel.n == 1
     assert kernel.pre_selected == {0}
     assert [e.rule for e in log.events] == [RuleId.DEG1A, RuleId.DEG1B,
@@ -151,12 +151,12 @@ def test_local_exhaustive_irreducible_cube():
     cube = PdsInstance(8, edges)
     for rule in LOCAL_RULES:
         assert applicable_sites(cube, rule) == []
-    kernel, log = apply_local_exhaustive(cube)
+    kernel, log, _ = reduce_full(cube, "local")
     assert kernel == cube and log.events == []
 
 
 def test_local_exhaustive_empty_graph():
-    kernel, log = apply_local_exhaustive(PdsInstance(0))
+    kernel, log, _ = reduce_full(PdsInstance(0), "local")
     assert kernel.n == 0 and log.events == []
 
 
@@ -226,30 +226,6 @@ def test_reduce_full_termination_budget():
         assert len(log.events) <= reductions._Work(inst).measure()
 
 
-def test_passed_deadline_leaves_only_the_dfs_pass(small_corpus):
-    # The DFS pass runs before the first deadline check, so a deadline
-    # that has already passed leaves exactly its events: Deg1a, Deg1b and
-    # Deg2a, the start of the full reduction's sequence.
-    passed = time.perf_counter() - 1.0
-    dfs_rules = {RuleId.DEG1A, RuleId.DEG1B, RuleId.DEG2A}
-    for seed in range(1, 4):
-        inst = gridlike_graph(60, seed)
-        _, log, _ = reduce_full(inst, deadline=passed)
-        _, full, _ = reduce_full(inst)
-        assert log.events and {e.rule for e in log.events} <= dfs_rules
-        assert {e.rule for e in full.events} - dfs_rules
-        assert log.events == full.events[:len(log.events)]
-    # The cut kernel is still safe.
-    for inst, gamma in small_corpus:
-        kernel, log, _ = reduce_full(inst, deadline=passed)
-        assert {e.rule for e in log.events} <= dfs_rules
-        try:
-            reduced = len(lift_solution(log, oracle_pds(kernel)[1]))
-        except InfeasibleInstanceError:
-            reduced = None
-        assert reduced == gamma
-
-
 class _Clock:
     """Stand-in for the `time` module whose clock reads 1, 2, 3, ..."""
 
@@ -269,6 +245,34 @@ def _cut_reduce(monkeypatch, inst, checks):
         m.setattr(reductions, "time", clock)
         kernel, log, _ = reduce_full(inst, deadline=checks + 0.5)
     return kernel, log, clock.reads
+
+
+def test_deadline_cuts_the_reduction_to_a_safe_prefix(small_corpus,
+                                                      monkeypatch):
+    # Every local rule runs from the worklist, after a deadline check, so
+    # a deadline that has already passed leaves the input as it is.
+    passed = time.perf_counter() - 1.0
+    for inst in ([inst for inst, _ in small_corpus]
+                 + [gridlike_graph(60, seed) for seed in range(1, 4)]):
+        kernel, log, _ = reduce_full(inst, deadline=passed)
+        assert log.events == [] and kernel == inst
+    # One that passes at any later check keeps a prefix of the full run's
+    # events, and the kernel it leaves is still safe.
+    for inst, gamma in small_corpus:
+        _, full, reads = _cut_reduce(monkeypatch, inst, float("inf"))
+        checked = set()
+        for checks in range(reads + 1):
+            kernel, log, _ = _cut_reduce(monkeypatch, inst, checks)
+            cut = len(log.events)
+            assert log.events == full.events[:cut]
+            if cut in checked:
+                continue
+            checked.add(cut)
+            try:
+                reduced = len(lift_solution(log, oracle_pds(kernel)[1]))
+            except InfeasibleInstanceError:
+                reduced = None
+            assert reduced == gamma
 
 
 def test_deadline_cuts_dom_and_necn_passes(small_corpus, monkeypatch):
@@ -318,6 +322,10 @@ def test_lift_identity_and_select_events():
     kernel, log, _ = reduce_full(inst, rules="none")
     sol = lift_solution(log, oracle_pds(kernel)[1])
     assert sol.selected == {1}
+    # Rules are a named subset or RuleIds; rule names are neither.
+    for rules in ("bogus", ["Deg1a"], [RuleId.DEG1A, "Dom"]):
+        with pytest.raises(ValueError):
+            reduce_full(inst, rules)
     kernel, log, _ = reduce_full(path_graph(2))
     sol = lift_solution(log, oracle_pds(kernel)[1])
     assert len(sol) == 1
@@ -403,7 +411,7 @@ def _firing_order_corpus(small_corpus):
 
 def test_worklist_keeps_the_restart_firing_order(small_corpus):
     for inst in _firing_order_corpus(small_corpus):
-        kernel, log = apply_local_exhaustive(inst)
+        _, log, _ = reduce_full(inst, "local")
         ref = _RestartDriver(inst, LOCAL_RULES)
         ref.local_round()
         assert log.events == ref.events

@@ -317,7 +317,7 @@ def test_time_limit_bounds_the_reduction():
     # 2-core x86 machine, ten times the limit; the solve must stop
     # reducing at the deadline and still return a feasible solution. The
     # reduction's own deadline check is pinned, independent of machine
-    # speed, by test_passed_deadline_leaves_only_the_dfs_pass in
+    # speed, by test_deadline_cuts_the_reduction_to_a_safe_prefix in
     # test_reductions.py.
     inst = gridlike_graph(5000, 1)
     limit = 0.3
