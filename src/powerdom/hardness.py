@@ -354,14 +354,13 @@ def eliminate_implication_arcs(inst):
     return Transform(out, 0, provenance)
 
 
-def eliminate_booster_edges(inst, reuse_b=False):
+def eliminate_booster_edges(inst):
     """Subdivide every booster edge and tie the middle to a forced hub.
 
     A fresh hub b with two plain leaves is inserted once (shift +1); it is
     in some minimum solution, so each subdivision vertex starts observed
     and relays observation between its endpoints exactly like the booster
-    rule did. With `reuse_b`, an existing pre-selected vertex serves as the
-    hub and the shift stays 0. Requires implication arcs to be gone.
+    rule did. Requires implication arcs to be gone.
     """
     if inst.implication_arcs:
         raise ValueError("eliminate implication arcs before booster edges")
@@ -372,20 +371,13 @@ def eliminate_booster_edges(inst, reuse_b=False):
     edges = list(edge_set)
     prop = list(inst.propagating)
     provenance = {v: ("kept", v) for v in range(n)}
-    shift = 0
-    if reuse_b:
-        if not inst.pre_selected:
-            raise ValueError("reuse_b needs a pre-selected vertex")
-        hub = min(inst.pre_selected)
-    else:
-        hub, l1, l2 = n, n + 1, n + 2
-        n += 3
-        prop.extend([True] * 3)
-        provenance[hub] = ("booster_hub",)
-        provenance[l1] = ("hub_leaf",)
-        provenance[l2] = ("hub_leaf",)
-        edges.extend([(hub, l1), (hub, l2)])
-        shift = 1
+    hub, l1, l2 = n, n + 1, n + 2
+    n += 3
+    prop.extend([True] * 3)
+    provenance[hub] = ("booster_hub",)
+    provenance[l1] = ("hub_leaf",)
+    provenance[l2] = ("hub_leaf",)
+    edges.extend([(hub, l1), (hub, l2)])
     for x, y in sorted(inst.booster_edges):
         mid = n
         n += 1
@@ -393,7 +385,7 @@ def eliminate_booster_edges(inst, reuse_b=False):
         provenance[mid] = ("subdivision", (x, y))
         edges.extend([(x, mid), (mid, y), (mid, hub)])
     out = PdsInstance(n, edges, prop, inst.pre_selected, inst.excluded)
-    return Transform(out, shift, provenance)
+    return Transform(out, 1, provenance)
 
 
 def pds_to_simple(inst):

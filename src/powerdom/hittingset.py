@@ -24,7 +24,7 @@ class HittingSetTimeout(Exception):
 
 
 class HittingSetInstance:
-    """Family of vertex sets over a universe, with optional forced elements.
+    """Family of vertex sets over a universe.
 
     Sets are intersected with the universe on entry; an intersection that
     comes up empty makes the instance infeasible and is reported when
@@ -32,9 +32,8 @@ class HittingSetInstance:
     kept, and the exact search drops them from its kernels.
     """
 
-    def __init__(self, universe, sets=(), forced=()):
+    def __init__(self, universe, sets=()):
         self.universe = frozenset(universe)
-        self.forced = frozenset(forced) & self.universe
         self.sets = []
         self._seen = set()
         self.infeasible_sets = 0
@@ -61,16 +60,15 @@ def _to_masks(hs):
     elems = sorted(hs.universe)
     index = {v: i for i, v in enumerate(elems)}
     masks = [sum(1 << index[v] for v in s) for s in hs.sets]
-    forced = sum(1 << index[v] for v in hs.forced)
-    return elems, index, masks, forced
+    return elems, index, masks
 
 
 def solve_greedy(hs):
     """Max-coverage greedy hitting set; valid but not necessarily optimal."""
     if hs.infeasible_sets:
         raise InfeasibleInstanceError("family contains an unhittable set")
-    chosen = set(hs.forced)
-    unhit = [s for s in hs.sets if not s & chosen]
+    chosen = set()
+    unhit = list(hs.sets)
     while unhit:
         counts = {}
         for s in unhit:
@@ -207,15 +205,12 @@ def solve_exact(hs, lower_bound_hint=0, deadline=None):
     """
     if hs.infeasible_sets:
         raise InfeasibleInstanceError("family contains an unhittable set")
-    elems, index, masks, forced = _to_masks(hs)
+    elems, index, masks = _to_masks(hs)
     greedy = solve_greedy(hs)
     best_mask = sum(1 << index[v] for v in greedy)
-    n_forced = forced.bit_count()
-    floor = max(lower_bound_hint, n_forced)
-    if len(greedy) > floor:
-        got = _search([m for m in masks if not m & forced],
-                      len(greedy) - n_forced, floor - n_forced, deadline)
+    if len(greedy) > lower_bound_hint:
+        got = _search(masks, len(greedy), lower_bound_hint, deadline)
         if got is not None:
-            best_mask = forced | got[0]
+            best_mask = got[0]
     out = frozenset(elems[i] for i in range(len(elems)) if best_mask >> i & 1)
     return out, len(out)

@@ -73,9 +73,6 @@ class PdsInstance:
     def degree(self, v):
         return len(self.adj[v])
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def closed_neighborhood(self, v):
         return self.adj_sets[v] | {v}
 
@@ -154,7 +151,7 @@ def parse_instance(text, fmt="pds"):
     n = m = None
     nonprop, pre, exc = set(), set(), set()
     labels = {}
-    edges = []
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,7 +205,7 @@ def parse_instance(text, fmt="pds"):
             key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise ParseError(f"duplicate edge {key}", lineno)
-            edges.append(key)
+            edges.add(key)
         else:
             raise ParseError(f"unknown line kind {kind!r}", lineno)
     if n is None:
@@ -281,9 +278,15 @@ def generate_random(n, m, frac_nonprop=0.0, seed=0):
     if not 0.0 <= frac_nonprop <= 1.0:
         raise ValueError("frac_nonprop must be within [0, 1]")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(max_m, size=m, replace=False) if m else []
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [all_pairs[int(i)] for i in picks]
+    picks = np.asarray(rng.choice(max_m, size=m, replace=False) if m else [],
+                       dtype=np.int64)
+    # Pair index i, in the order (0, 1), (0, 2), ..., (1, 2), ..., is the
+    # pair (u, u + 1 + i - start[u]) of the last row u starting at or
+    # before i; row u starts at u(2n - u - 1) / 2.
+    rows = np.arange(n, dtype=np.int64)
+    start = rows * (2 * n - rows - 1) // 2
+    us = np.searchsorted(start, picks, side="right") - 1
+    edges = list(zip(us.tolist(), (us + 1 + picks - start[us]).tolist()))
     k = int(frac_nonprop * n)
     nonprop = rng.choice(n, size=k, replace=False) if k else []
     prop = [True] * n

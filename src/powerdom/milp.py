@@ -114,7 +114,8 @@ def build_pds_milp(inst):
 
 
 def build_hitting_set_ilp(hs):
-    """Covering ILP: one row per fort neighborhood, fixings for forced."""
+    """Covering ILP: minimise the binary s_v of the universe's elements,
+    with one row per fort neighborhood."""
     elems = sorted(hs.universe)
     model = MilpModel(objective=tuple((f"s_{v}", 1) for v in elems))
     for v in elems:
@@ -122,8 +123,6 @@ def build_hitting_set_ilp(hs):
     for i, s in enumerate(hs.sets):
         model.add_constraint(f"cover_{i}",
                              [(f"s_{v}", 1) for v in sorted(s)], ">=", 1)
-    for v in sorted(hs.forced):
-        model.add_constraint(f"forced_{v}", [(f"s_{v}", 1)], "=", 1)
     return model
 
 

@@ -53,18 +53,12 @@ class BoundsTrace:
     def upper(self):
         return self._upper
 
-    def write_csv(self, sink):
-        """CSV with header t_seconds,kind,value; sink is a path or file."""
-        if hasattr(sink, "write"):
-            self._write(sink)
-        else:
-            with open(sink, "w", encoding="utf-8") as fh:
-                self._write(fh)
-
-    def _write(self, fh):
-        fh.write("t_seconds,kind,value\n")
-        for t, kind, value in self.events:
-            fh.write(f"{t:.6f},{kind},{value}\n")
+    def write_csv(self, path):
+        """Write the events to `path`: CSV, header t_seconds,kind,value."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("t_seconds,kind,value\n")
+            for t, kind, value in self.events:
+                fh.write(f"{t:.6f},{kind},{value}\n")
 
 
 @dataclass
@@ -138,16 +132,17 @@ def greedy_complete(inst, h=(), deadline=None):
     return SolutionSet(frozenset(state.selected))
 
 
-def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
+def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
                      incumbent=None):
     """Implicit hitting set loop for one (sub)instance.
 
     Intended for kernels but correct on any instance. `deadline` is a
     `time.perf_counter()` value; once it passes, the loop returns
-    TimedOut with the best solution so far. `report(kind, value)`
-    receives the same bound events that land in `trace`; values count the
-    instance's pre-selected vertices. `incumbent` is `greedy_complete(sub)`
-    when the caller has it already.
+    TimedOut with the best solution so far. `report(kind, value)`, with
+    kind "lower" or "upper", receives every bound the loop proves or
+    reaches, improving or not; values count the instance's pre-selected
+    vertices. `incumbent` is `greedy_complete(sub)` when the caller has
+    it already.
 
     Each fort's closed neighborhood goes straight into the hitting-set
     instance, which drops repeats, so the result's `fort_count` is its
@@ -156,16 +151,7 @@ def ihs_kernel_solve(sub, seed=0, trace=None, deadline=None, report=None,
     which ask nothing of the hitting set.
     """
     t0 = time.perf_counter()
-    trace = trace if trace is not None else BoundsTrace()
-
-    def emit(kind, value):
-        t = time.perf_counter() - t0
-        if kind == "lower":
-            trace.add_lower(t, value)
-        else:
-            trace.add_upper(t, value)
-        if report is not None:
-            report(kind, value)
+    emit = report if report is not None else (lambda kind, value: None)
 
     def result(status, solution, gamma, lower, upper, forts, solves):
         return SolveResult(status, solution, gamma, lower, upper,
@@ -238,10 +224,11 @@ def _solve_part(sub, seed, seconds_left, incumbent):
     not share the parent's origin, so the deadline is taken here."""
     deadline = (None if seconds_left is None
                 else time.perf_counter() + seconds_left)
-    trace = BoundsTrace()
-    res = ihs_kernel_solve(sub, seed=seed, trace=trace, deadline=deadline,
+    events = []
+    res = ihs_kernel_solve(sub, seed=seed, deadline=deadline,
+                           report=lambda *event: events.append(event),
                            incumbent=incumbent)
-    return res, [(kind, value) for _t, kind, value in trace.events]
+    return res, events
 
 
 def _solve_parts_in_pool(tasks, jobs, deadline):

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from powerdom.bruteforce import enumerate_minimal_forts
 from powerdom.cli import main
+from powerdom.forts import closed_neighborhood
 from powerdom.instance import parse_instance, write_instance
-from powerdom.milp import parse_lp
+from powerdom.milp import check_model_by_enumeration, parse_lp
 
-from conftest import path_graph, star_graph
+from conftest import (cycle_graph, disjoint_stars, oracle_gamma, path_graph,
+                      star_graph)
 
 
 @pytest.fixture
@@ -83,6 +86,28 @@ def test_export_milp(p3_file, tmp_path, capsys):
     assert out == p3_file + ".pds-milp.lp"
     model = parse_lp(open(out).read())
     assert any(name.startswith("x_") for name, _ in model.objective)
+
+
+@pytest.mark.parametrize("inst", [disjoint_stars(2), cycle_graph(7)])
+def test_export_milp_hitting_set_and_fort_models(inst, tmp_path, capsys):
+    path = tmp_path / "inst.pds"
+    path.write_text(write_instance(inst))
+    models = {}
+    for kind in ("hitting-set", "fort"):
+        out = tmp_path / f"{kind}.lp"
+        assert main(["export-milp", str(path), "--model", kind,
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == str(out)
+        text = out.read_text()
+        models[kind] = parse_lp(text)
+        assert "forced_" not in text
+    # The hitting-set rows are fort neighborhoods, so its optimum is a
+    # lower bound on gamma.
+    hs_value, _ = check_model_by_enumeration(models["hitting-set"])
+    assert hs_value <= oracle_gamma(inst)
+    fort_value, _ = check_model_by_enumeration(models["fort"])
+    assert fort_value == min(len(closed_neighborhood(inst, fort))
+                             for fort in enumerate_minimal_forts(inst))
 
 
 def test_transform_circuit(tmp_path, capsys):

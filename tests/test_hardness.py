@@ -183,14 +183,6 @@ def test_eliminate_booster_requires_no_arcs():
         eliminate_booster_edges(inst)
 
 
-def test_eliminate_booster_reuse_hub():
-    inst = IpdsInstance(2, [(0, 1)], pre_selected=[0],
-                        booster_edges=[(0, 1)])
-    tr = eliminate_booster_edges(inst, reuse_b=True)
-    assert tr.shift == 0
-    assert ipds_gamma(tr.output) == ipds_gamma(inst)
-
-
 def test_eliminate_booster_random():
     for seed in range(120):
         inst = random_ipds_instance(seed, with_arcs=False, with_xy=False)
@@ -231,16 +223,15 @@ def test_pds_to_simple_random():
 
 
 def test_full_chain_small_circuits():
-    for text in (OR2, AND2):
-        c = parse_circuit(text)
-        chain = full_chain_detailed(c)
-        weight = wmcs_min_weight(c)
-        target = weight + chain.shift
-        with pytest.raises(InfeasibleInstanceError):
-            oracle_pds(chain.instance, k_max=target - 1, max_undecided=None)
-        witness = chain.witness_from_assignment(min_assignment(c))
-        assert len(witness) == target
-        assert is_power_dominating(chain.instance, witness)
+    # The weight-2 AND2 chain is refuted in acceptance criterion 6.
+    c = parse_circuit(OR2)
+    chain = full_chain_detailed(c)
+    target = wmcs_min_weight(c) + chain.shift
+    with pytest.raises(InfeasibleInstanceError):
+        oracle_pds(chain.instance, k_max=target - 1, max_undecided=None)
+    witness = chain.witness_from_assignment(min_assignment(c))
+    assert len(witness) == target
+    assert is_power_dominating(chain.instance, witness)
 
 
 def test_full_chain_output_is_plain():

@@ -45,12 +45,6 @@ def test_greedy_examples():
     assert solve_greedy(HittingSetInstance(range(3))) == frozenset()
 
 
-def test_forced_elements():
-    hs = HittingSetInstance(range(4), [{1, 2}], forced=[3])
-    sol, size = solve_exact(hs)
-    assert 3 in sol and size == 2
-
-
 def test_infeasible_empty_set():
     hs = HittingSetInstance(range(3), [{5, 6}])  # vanishes after intersection
     assert hs.infeasible_sets == 1
@@ -110,11 +104,11 @@ def test_deterministic():
 
 
 def big_random_family(seed):
-    """Up to 16 sets of size 1-5 over a universe of up to 20, with up to
-    two forced elements. Each of up to three blocks of the universe starts
-    as a cycle of pairs, which no reduction removes, so families fall
-    apart into components; random extra sets within the blocks or across
-    the universe join components and make elements dominated."""
+    """Up to 16 sets of size 1-5 over a universe of 12-20 elements. Each
+    of up to three blocks of the universe starts as a cycle of pairs,
+    which no reduction removes, so families fall apart into components;
+    random extra sets within the blocks or across the universe join
+    components and make elements dominated."""
     rng = random.Random(seed)
     universe = list(range(rng.randint(12, 20)))
     rng.shuffle(universe)
@@ -129,33 +123,28 @@ def big_random_family(seed):
         pool = universe if rng.random() < 0.5 else universe[:start]
         sets.append(frozenset(rng.sample(pool,
                                          rng.randint(1, min(5, len(pool))))))
-    forced = rng.sample(universe, rng.randint(0, 2))
-    return HittingSetInstance(universe, sets, forced)
+    return HittingSetInstance(universe, sets)
 
 
 def test_matches_bruteforce_larger_families():
     for seed in range(300):
         hs = big_random_family(seed)
-        rest = [s for s in hs.sets if not s & hs.forced]
-        expected = len(hs.forced) + brute_minimum(hs.universe - hs.forced,
-                                                  rest)
+        expected = brute_minimum(hs.universe, hs.sets)
         got_set, got = solve_exact(hs)
         assert got == len(got_set) == expected, seed
         assert all(got_set & s for s in hs.sets)
-        assert hs.forced <= got_set
 
 
 def test_warm_start_agrees_with_cold_on_larger_families():
     for seed in range(40):
         full = big_random_family(1000 + seed)
-        hs = HittingSetInstance(full.universe, forced=full.forced)
+        hs = HittingSetInstance(full.universe)
         prev = 0
         for s in full.sets:
             hs.add_sets([s])
             warm_set, warm = solve_exact(hs, lower_bound_hint=prev)
             assert warm == solve_exact(hs)[1]
             assert all(warm_set & t for t in hs.sets)
-            assert hs.forced <= warm_set
             prev = warm
 
 

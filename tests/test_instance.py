@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from powerdom import PdsInstance, generate_random, parse_instance, write_instance
@@ -100,6 +101,28 @@ def test_generate_random_deterministic():
     b = generate_random(8, 10, 0.5, seed=42)
     assert a == b
     assert sum(1 for p in a.propagating if not p) == 4
+
+
+def _generate_by_enumeration(n, m, frac_nonprop, seed):
+    """`generate_random` by listing every vertex pair and indexing it."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(n * (n - 1) // 2, size=m, replace=False) if m else []
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    k = int(frac_nonprop * n)
+    nonprop = set(rng.choice(n, size=k, replace=False).tolist()) if k else ()
+    return PdsInstance(n, [pairs[i] for i in picks],
+                       [v not in nonprop for v in range(n)])
+
+
+def test_generate_random_matches_pair_enumeration():
+    for n in range(16):
+        max_m = n * (n - 1) // 2
+        for m in {0, min(1, max_m), max(0, n - 1), max_m}:
+            for frac in (0.0, 0.5):
+                for seed in range(5):
+                    assert (generate_random(n, m, frac, seed)
+                            == _generate_by_enumeration(n, m, frac, seed)), \
+                        (n, m, frac, seed)
 
 
 def test_generate_random_guard():

@@ -72,13 +72,13 @@ def test_checker_guard():
 
 
 def test_hitting_set_ilp():
-    hs = HittingSetInstance(range(4), [{1, 2}], forced=[3])
+    hs = HittingSetInstance(range(4), [{1, 2}, {2, 3}])
     model = build_hitting_set_ilp(hs)
     text = write_lp(model)
     assert "cover_0: s_1 + s_2 >= 1" in text
-    assert "forced_3: s_3 = 1" in text
-    value, _ = check_model_by_enumeration(model)
-    assert value == 2
+    assert "cover_1: s_2 + s_3 >= 1" in text
+    value, assignment = check_model_by_enumeration(model)
+    assert value == 1 and assignment["s_2"] == 1
     empty = build_hitting_set_ilp(HittingSetInstance(range(3)))
     assert check_model_by_enumeration(empty)[0] == 0
 
@@ -117,7 +117,7 @@ def test_lp_roundtrip():
         again = parse_lp(write_lp(model))
         assert model.normalized() == again.normalized()
     hs_model = build_hitting_set_ilp(
-        HittingSetInstance(range(5), [{0, 1}, {2, 3, 4}], forced=[2]))
+        HittingSetInstance(range(5), [{0, 1}, {2, 3, 4}]))
     assert parse_lp(write_lp(hs_model)).normalized() == hs_model.normalized()
 
 

@@ -411,11 +411,6 @@ def _firing_order_corpus(small_corpus):
 
 def test_worklist_keeps_the_restart_firing_order(small_corpus):
     for inst in _firing_order_corpus(small_corpus):
-        _, log, _ = reduce_full(inst, "local")
-        ref = _RestartDriver(inst, LOCAL_RULES)
-        ref.local_round()
-        assert log.events == ref.events
-        assert log.kernel_to_original == ref.work.snapshot()[1]
         for subset in ("all", "local", "local+dom", "local+necn"):
             _, log, _ = reduce_full(inst, subset)
             ref = _RestartDriver(inst, reductions.RULE_SUBSETS[subset])
