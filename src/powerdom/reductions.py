@@ -11,20 +11,32 @@ sequence is a function of the rule order and the vertex ids. The driver
 finds that step from a worklist rather than by rescanning every site:
 each enabled local rule keeps the set of sites it has still to test. A
 site leaves the set when its guard fails, and every recorded event,
-local or not, puts back the sites whose guard inputs it touched. The
-guards read only a site's closed neighbourhood, the edges at its
-degree-two neighbours, and (Deg2c, ObsNP, ObsE) the observed set. Every
-observed flag changes inside a recorded event, so the same record also
-puts back the sites at each vertex whose flag the event changed, and at
-its neighbours. A site is put back only on the sets of the rules that
-accept its class, the status, degree and propagating flag of its vertex
-or of both ends of its edge: a rule's guard fails at any other class,
-and every event that changes a vertex's class names the vertex. ObsE
-reads only its edge, the ends' statuses and their observed flags, so
-events put back its sites only at the edges they add and at changed
-flags. So a site outside the set never holds, and the smallest pending
-site that holds is the one a full rescan would fire: the worklist
-changes how many guards are tried, not which rule fires where.
+local or not, puts a site back on the set of each rule whose guard reads
+an input at the site that the event changed:
+
+- the vertices the event names, the neighbours of one that loses its
+  propagating flag, and those around the edges it edits go back on every
+  rule but ObsE, whose guards read the site's own class and the
+  structure around it, the edges at its degree-two neighbours included;
+- the neighbours of a vertex whose status the event really changed go
+  back on Deg1a, Deg1b, Tri, Deg2a and OnlyN, the rules that read a
+  neighbour's status;
+- every observed flag changes inside a recorded event, so the same
+  record puts a vertex whose flag changed back on Deg2c, ObsNP and ObsE,
+  the rules that read it, and its neighbours on Deg2c, which also reads
+  its neighbours' flags;
+- ObsE reads only its edge, the ends' statuses and their observed flags,
+  so it also takes back the edges the event adds.
+
+A site goes back only on the sets of the rules that accept its class,
+the status, degree and propagating flag of its vertex or of both ends of
+its edge: a rule's guard fails at any other class, and every event that
+changes a vertex's class names the vertex. So a site outside the set
+never holds, and the smallest pending site that holds is the one a full
+rescan would fire: the worklist changes how many guards are tried, not
+which rule fires where. The driver also skips a Dom or NecN pass when
+nothing but its own events has been recorded since it last ran, because
+such a pass could fire nothing (see `_Driver.run`).
 
 Every fire is checked, in one place: each recorded event must leave the
 measure alive + undecided + free edges + propagating vertices strictly
@@ -47,6 +59,7 @@ read its observed flags and no mutation recomputes the fixpoint.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -132,6 +145,8 @@ class _Work:
     `obs` is the observation state of the pre-selected set, which the
     mutations keep equal to a recomputation, and `obs_changed` collects
     the vertices whose observed flag they may have changed.
+    `status_changed` collects the vertices whose status they changed; a
+    call that sets a vertex's status to the one it has adds nothing.
     """
 
     def __init__(self, inst):
@@ -153,6 +168,7 @@ class _Work:
                               if status[u] != PRE and status[v] != PRE)
         self.obs = observe_from(self, self.pre_selected())
         self.obs_changed = set()
+        self.status_changed = set()
 
     # mutations ------------------------------------------------------------
 
@@ -179,8 +195,11 @@ class _Work:
             self.obs_changed.update(self.obs.edge_removed(u, v))
 
     def set_status(self, v, status):
+        if status == self.status[v]:
+            return
+        self.status_changed.add(v)
         self.undecided_count += (status == UND) - (self.status[v] == UND)
-        if status == PRE and self.status[v] != PRE:
+        if status == PRE:
             self.edge_count -= sum(1 for w in self.adj[v]
                                    if self.status[w] != PRE)
             obs = self.obs
@@ -448,21 +467,41 @@ _ACCEPTS = {
     RuleId.OBSNP: lambda s, d, p: s == EXC and not p,
     RuleId.OBSE: lambda s, d, p: s != PRE,
 }
+# The local rules whose guards read each input an event can change. Every
+# rule but ObsE reads the site's own class and the structure around it:
+# its vertex's edges and its neighbours' degrees, propagating flags and
+# other neighbours. ObsE reads its edge, the ends' statuses, which can
+# only stop it from holding, and the ends' observed flags. Five rules
+# read a neighbour's status (Tri at the common neighbour of its edge);
+# Deg2b, Deg2c, Isol and ObsNP do not. Three read the observed flag of
+# the site's vertex or of its edge's ends, and only Deg2c reads its
+# neighbours' flags too.
+_READS_OWN = frozenset(LOCAL_RULES) - {RuleId.OBSE}
+_READS_NEIGHBOUR_STATUS = frozenset({RuleId.DEG1A, RuleId.DEG1B, RuleId.TRI,
+                                     RuleId.DEG2A, RuleId.ONLYN})
+_READS_OBSERVED = frozenset({RuleId.DEG2C, RuleId.OBSNP, RuleId.OBSE})
+_READS_NEIGHBOUR_OBSERVED = frozenset({RuleId.DEG2C})
 
 
-def _class_table(queues):
+@functools.lru_cache(maxsize=None)
+def _class_table(enabled, readers):
     """For each vertex class (status s, degree d capped at 3, propagating
-    flag p), at index 8 s + 2 d + p, the vertex-site queues that accept it
-    and the edge-site queues that accept it as one end of an edge."""
-    table = [None] * 24
+    flag p), at index 8 s + 2 d + p, the positions in `enabled` of the
+    vertex-site rules in `readers` that accept it, and of the edge-site
+    rules in `readers` that accept it as one end of an edge. It depends
+    only on its arguments, so it is built once per pair of rule sets."""
+    table = []
     for s in (UND, PRE, EXC):
         for d in range(4):
             for p in (False, True):
-                accepting = [q for q in queues if q.accepts(s, d, p)]
-                table[8 * s + 2 * d + p] = (
-                    [q for q in accepting if not q.edge_sites],
-                    [q for q in accepting if q.edge_sites])
-    return table
+                accepting = [(i, rule) for i, rule in enumerate(enabled)
+                             if rule in readers and _ACCEPTS[rule](s, d, p)]
+                table.append((
+                    tuple(i for i, rule in accepting
+                          if rule not in _EDGE_SITE_RULES),
+                    tuple(i for i, rule in accepting
+                          if rule in _EDGE_SITE_RULES)))
+    return tuple(table)
 
 
 def _sites(work, rule):
@@ -561,7 +600,6 @@ class _Pending:
         self.heap = []
         self.members = set()
         self.apply = _LOCAL_APPLY[rule]
-        self.accepts = _ACCEPTS[rule]
         self.edge_sites = rule in _EDGE_SITE_RULES
 
     def __bool__(self):
@@ -591,21 +629,32 @@ class _Driver:
         # an undecided status.
         self.measure = self.work.measure()
         # Pending sites per enabled local rule, in `LOCAL_RULES` order;
-        # every site outside its set fails its guard. `_record` puts back
-        # the sites an event touched on `by_class`, and the sites at each
-        # vertex whose observed flag differs from `tested_observed`, the
-        # flags the sets were last put back under, on `all_by_class`.
-        # ObsE's guard reads only its edge, the ends' statuses and their
-        # observed flags. It can come to hold only at an added edge or at
-        # a flag change, so it is on `all_by_class` alone, and events put
-        # back its sites at the edges they add.
-        self.pending = [_Pending(r) for r in LOCAL_RULES if r in self.rules]
-        self.obse = next((p for p in self.pending if p.apply is _obse), None)
-        self.by_class = _class_table(
-            [p for p in self.pending if p is not self.obse])
-        self.all_by_class = _class_table(self.pending)
+        # every site outside its set fails its guard. `_record` puts a
+        # site back on the sets whose rule's guard reads an input the event
+        # changed, each through the class table of the rules that read it
+        # (see `_READS_OWN` and below): `own_table` for the vertices the
+        # event names and the structure around its edited edges,
+        # `neighbour_status_table` for the neighbours of a vertex whose
+        # status it changed, and `observed_table` and
+        # `neighbour_observed_table` for a vertex whose observed flag
+        # differs from `tested_observed`, the flags the sets were last put
+        # back under, and for its neighbours. ObsE's guard can come to hold
+        # only at an added edge or at a flag change, so events also put
+        # back its sites at the edges they add. The first put-back covers
+        # every vertex on every rule.
+        enabled = tuple(r for r in LOCAL_RULES if r in self.rules)
+        self.pending = [_Pending(r) for r in enabled]
+        self.obse = (self.pending[enabled.index(RuleId.OBSE)]
+                     if RuleId.OBSE in enabled else None)
+        self.own_table = _class_table(enabled, _READS_OWN)
+        self.neighbour_status_table = _class_table(enabled,
+                                                   _READS_NEIGHBOUR_STATUS)
+        self.observed_table = _class_table(enabled, _READS_OBSERVED)
+        self.neighbour_observed_table = _class_table(
+            enabled, _READS_NEIGHBOUR_OBSERVED)
         self.tested_observed = list(self.work.obs.observed)
-        self._requeue(self.work.vertices(), self.all_by_class)
+        self._requeue(self.work.vertices(),
+                      _class_table(enabled, frozenset(LOCAL_RULES)))
 
     def _expired(self):
         return (self.deadline is not None
@@ -620,18 +669,21 @@ class _Driver:
         self.measure = measure
         self.events.append(event)
         if self.pending:
-            self._requeue(self._touched_by(event), self.by_class)
+            adj = work.adj
+            self._requeue(self._touched_by(event), self.own_table)
+            self._requeue({w for v in work.status_changed for w in adj[v]},
+                          self.neighbour_status_table)
             # A Dom fire, recorded under the pass's trial selection, only
             # excludes, which leaves `obs` and so `obs_changed` alone.
             observed, tested = work.obs.observed, self.tested_observed
-            flipped = set()
-            for v in work.obs_changed:
-                if observed[v] != tested[v]:
-                    tested[v] = observed[v]
-                    flipped.add(v)
-                    flipped |= work.adj[v]
-            self._requeue(flipped, self.all_by_class)
+            flipped = [v for v in work.obs_changed if observed[v] != tested[v]]
+            for v in flipped:
+                tested[v] = observed[v]
+            self._requeue(flipped, self.observed_table)
+            self._requeue({w for v in flipped for w in adj[v]},
+                          self.neighbour_observed_table)
         work.obs_changed.clear()
+        work.status_changed.clear()
         if self.obse is not None:
             status = work.status
             for u, v in event.edges_added:
@@ -639,7 +691,11 @@ class _Driver:
                     self.obse.add((u, v))
 
     def _touched_by(self, event):
-        """Vertices whose sites' guards may read something the event changed.
+        """Vertices whose own class, or the structure around them, the
+        event may have changed: the vertices it names, and around each
+        edge it edits the ends, their common neighbours, and the
+        neighbours of an end left with degree at most two. A vertex that
+        loses its propagating flag puts back its neighbours too.
 
         A deleted vertex has lost its edges, so its former neighbours are
         found as the endpoints of the removed edges, which events list.
@@ -647,8 +703,7 @@ class _Driver:
         adj = self.work.adj
         touched = {*event.site, *event.selected, *event.excluded,
                    *event.deleted, *event.made_nonpropagating}
-        for v in (*event.selected, *event.excluded,
-                  *event.made_nonpropagating):
+        for v in event.made_nonpropagating:
             touched |= adj[v]
         for u, v in event.edges_added + event.edges_removed:
             touched.add(u)
@@ -663,34 +718,37 @@ class _Driver:
 
     def _requeue(self, vertices, table):
         """Put back the vertex sites in `vertices` and the edge sites at
-        them, each only on the queues of `table` (a `_class_table`) whose
-        rule accepts the site's class: the status, degree and propagating
-        flag of its vertex, or of both ends of its edge. A site of another
-        class fails its rule's guard, and stays out until an event changes
-        its class; every such event names the vertex, which `_touched_by`
-        then puts back. No rule accepts a pre-selected vertex, so sites at
-        one never come back: no local rule fires there, and pre-selection
-        is final."""
+        them, each only on the queues of `table` (a `_class_table`): those
+        of the rules that read the input that changed at these vertices,
+        and among them those whose rule accepts the site's class, the
+        status, degree and propagating flag of its vertex, or of both
+        ends of its edge. A site of another class fails its rule's guard,
+        and stays out until an event changes its class; every such event
+        names the vertex, which `_touched_by` then puts back on `own_table`,
+        the table of every rule that reads its own class. No rule accepts a
+        pre-selected vertex, so sites at one never come back: no local
+        rule fires there, and pre-selection is final."""
         work = self.work
         status, adj, alive = work.status, work.adj, work.alive
         propagating = work.propagating
+        queues = self.pending
         for v in vertices:
             if not alive[v]:
                 continue
             d = len(adj[v])
             vertex_queues, edge_queues = table[
                 8 * status[v] + 2 * (d if d < 3 else 3) + propagating[v]]
-            for pending in vertex_queues:
-                pending.add(v)
+            for i in vertex_queues:
+                queues[i].add(v)
             if edge_queues:
                 for w in adj[v]:
                     d = len(adj[w])
                     at_w = table[8 * status[w] + 2 * (d if d < 3 else 3)
                                  + propagating[w]][1]
                     edge = (v, w) if v < w else (w, v)
-                    for pending in edge_queues:
-                        if pending in at_w:
-                            pending.add(edge)
+                    for i in edge_queues:
+                        if i in at_w:
+                            queues[i].add(edge)
 
     def _fire_next(self):
         """Fire the first local rule, in `LOCAL_RULES` order, whose guard
@@ -773,13 +831,29 @@ class _Driver:
         return fired
 
     def run(self):
-        """Reduce to a fixpoint, or until the deadline passes."""
+        """Reduce to a fixpoint, or until the deadline passes.
+
+        A Dom or NecN pass is skipped when no event but its own has been
+        recorded since it last ran, because it would fire nothing. Dom
+        only excludes, which leaves the pre-selected set and the graph,
+        and so the observation under each trial selection, as they were:
+        each pair still undecided was tried under the same observation.
+        NecN only moves vertices from undecided to pre-selected, which
+        leaves the set it selects, pre-selected plus undecided, as it was:
+        each vertex still undecided was tried against the same set.
+        """
+        # The number of recorded events when each pass last ended.
+        dom_ran = necn_ran = None
         while not self._expired():
             changed = self.local_round()
-            if RuleId.DOM in self.rules and not self._expired():
+            if (RuleId.DOM in self.rules and dom_ran != len(self.events)
+                    and not self._expired()):
                 changed |= self.dom_pass()
-            if RuleId.NECN in self.rules and not self._expired():
+                dom_ran = len(self.events)
+            if (RuleId.NECN in self.rules and necn_ran != len(self.events)
+                    and not self._expired()):
                 changed |= self.necn_pass()
+                necn_ran = len(self.events)
             if not changed:
                 break
 
@@ -801,10 +875,14 @@ def apply_nonlocal(inst, rule):
 def reduce_full(inst, rules=None, deadline=None):
     """Full preprocessing: local rounds, Dom and NecN to a fixpoint.
 
-    Local rounds run from the worklist of pending sites, which every
-    event of every pass feeds with the sites it touched whose class their
-    rule accepts, and fire exactly the sequence that rescanning all rules
-    and sites from the first after each fire would.
+    Local rounds run from the worklist of pending sites. Every event of
+    every pass feeds it with the sites at which it changed an input that
+    the site's rule reads, own class, neighbour status or observed flag,
+    and whose class that rule accepts. The rounds fire exactly the
+    sequence that rescanning all rules and sites from the first after
+    each fire would. A Dom or NecN pass with no event but its own since
+    it last ran is skipped, as it could fire nothing; the events are
+    those of running every pass in every round.
 
     `rules` may be a RuleId iterable or one of the named subsets
     ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none');

@@ -392,9 +392,21 @@ def _shuffled(inst, seed):
                        propagating)
 
 
+def _obse_hub():
+    """A pre-selected, non-propagating hub 0 on a fan 1-2-3-4-5-6, with 7
+    and 8 hanging off 3 and 4 and joined. ObsE takes the fan's edges one
+    by one and rewires 3-7 and 4-8 to the hub, and each vertex left a
+    pendant of the hub is excluded by Deg1a and deleted by Deg1b, which
+    lists the hub as selected although it is already pre-selected."""
+    edges = [(0, v) for v in range(1, 7)] + [(v, v + 1) for v in range(1, 6)]
+    return PdsInstance(9, edges + [(3, 7), (4, 8), (7, 8)],
+                       propagating=[False] + [True] * 6 + [False] * 2,
+                       pre_selected=[0])
+
+
 def _firing_order_corpus(small_corpus):
     """Small corpus, random extension instances, the wire1, OR(x0) and
-    x0 AND x1 chains, and id-shuffled grid-like graphs."""
+    x0 AND x1 chains, the ObsE hub, and id-shuffled grid-like graphs."""
     chains = [Circuit([("x0", ("in", ())), ("out", ("out", ("x0",)))]),
               Circuit([("x0", ("in", ())), ("g0", ("or", ("x0",))),
                        ("out", ("out", ("g0",)))]),
@@ -405,6 +417,7 @@ def _firing_order_corpus(small_corpus):
             + [random_instance(seed, n_max=20, m_max=40, x_max=3, y_max=4)
                for seed in range(100)]
             + [full_chain_detailed(c).instance for c in chains]
+            + [_obse_hub()]
             + [_shuffled(gridlike_graph(n, gen_seed), 0)
                for n in (40, 60) for gen_seed in range(1, 7)])
 
@@ -417,6 +430,84 @@ def test_worklist_keeps_the_restart_firing_order(small_corpus):
             ref.run()
             assert log.events == ref.events, subset
             assert log.kernel_to_original == ref.work.snapshot()[1], subset
+
+
+def test_obse_hub_fires_deg1b_at_a_pre_selected_hub():
+    _, log, _ = reduce_full(_obse_hub(), "local")
+    rules = [e.rule for e in log.events]
+    assert rules.count(RuleId.DEG1B) == 8
+    assert {e.selected for e in log.events if e.rule is RuleId.DEG1B} == {(0,)}
+    assert {(0, 7), (0, 8)} <= {edge for e in log.events
+                                if e.rule is RuleId.OBSE
+                                for edge in e.edges_added}
+
+
+def _pending_at(driver, vertices):
+    """The pending (rule, site) pairs with a vertex of the site in
+    `vertices`."""
+    return {(pending.apply, site) for pending in driver.pending
+            for site in pending.members
+            if set(site if isinstance(site, tuple) else (site,)) & vertices}
+
+
+@pytest.mark.parametrize("hub_status", ["pre", "und"])
+def test_deg1b_puts_back_the_hubs_neighbours_only_on_a_status_change(
+        hub_status):
+    # Hub 0 is non-propagating, 1 an excluded pendant of it, and 2, 3, 4
+    # undecided leaves, whose class Deg1a accepts. Deg1b at 1 deletes 1 and
+    # lists the hub as selected. Only a hub that was undecided changes its
+    # status, and only then can a guard at its other neighbours read
+    # something new.
+    inst = PdsInstance(5, [(0, v) for v in range(1, 5)],
+                       propagating=[False] + [True] * 4,
+                       pre_selected=[0] if hub_status == "pre" else [],
+                       excluded=[1])
+    driver = reductions._Driver(inst, reductions.RULE_SUBSETS["local"])
+    for pending in driver.pending:
+        pending.heap.clear()
+        pending.members.clear()
+    event = reductions._deg1b(driver.work, 1)
+    assert event.selected == (0,)
+    driver._record(event)
+    back = _pending_at(driver, {2, 3, 4})
+    if hub_status == "pre":
+        assert back == set()
+    else:
+        assert back == {(reductions._deg1a, v) for v in (2, 3, 4)}
+
+
+class _EveryPassDriver(reductions._Driver):
+    """Reference run: every enabled Dom and NecN pass in every round."""
+
+    def run(self):
+        while not self._expired():
+            changed = self.local_round()
+            if RuleId.DOM in self.rules and not self._expired():
+                changed |= self.dom_pass()
+            if RuleId.NECN in self.rules and not self._expired():
+                changed |= self.necn_pass()
+            if not changed:
+                break
+
+
+def test_skipped_passes_keep_the_every_pass_firing_order(small_corpus):
+    for inst in _firing_order_corpus(small_corpus):
+        for subset in ("all", "nonlocal", "local+dom", "local+necn"):
+            rules = reductions.RULE_SUBSETS[subset]
+            _, log, _ = reduce_full(inst, subset)
+            ref = _EveryPassDriver(inst, rules)
+            ref.run()
+            assert log.events == ref.events, subset
+            assert log.kernel_to_original == ref.work.snapshot()[1], subset
+            # After a run, one more pass of each fires nothing.
+            driver = reductions._Driver(inst, rules)
+            driver.run()
+            count = len(driver.events)
+            if RuleId.DOM in rules:
+                driver.dom_pass()
+            if RuleId.NECN in rules:
+                driver.necn_pass()
+            assert len(driver.events) == count, subset
 
 
 class _AllPairsDomDriver(reductions._Driver):
