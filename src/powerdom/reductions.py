@@ -10,31 +10,35 @@ anywhere, at its smallest site (vertex id, or edge pair), so the firing
 sequence is a function of the rule order and the vertex ids. The driver
 finds that step from a worklist rather than by rescanning every site:
 each enabled local rule keeps the set of sites it has still to test. A
-site leaves the set when its guard fails, and every recorded event,
-local or not, puts a site back on the set of each rule whose guard reads
-an input at the site that the event changed:
+site leaves the set when its guard fails. The work state's mutations,
+the only writers of the graph and the markings, record what they edit:
+the vertices whose status or propagating flag changed, the edges added
+or removed, and the vertices whose observed flag may have changed. An
+event keeps only what the rule decided. After every event, local or
+not, the driver reads that record and puts a site back on the set of
+each rule whose guard reads an input at the site that the event changed:
 
-- the vertices the event names, the neighbours of one that loses its
-  propagating flag, and those around the edges it edits go back on every
-  rule but ObsE, whose guards read the site's own class and the
-  structure around it, the edges at its degree-two neighbours included;
-- the neighbours of a vertex whose status the event really changed go
-  back on Deg1a, Deg1b, Tri, Deg2a and OnlyN, the rules that read a
-  neighbour's status;
+- the vertices whose status or propagating flag changed, the neighbours
+  of one that lost its propagating flag, and those around each edited
+  edge go back on every rule but ObsE, whose guards read the site's own
+  class and the structure around it, the edges at its degree-two
+  neighbours included;
+- the neighbours of a vertex whose status changed go back on Deg1a,
+  Deg1b, Tri, Deg2a and OnlyN, the rules that read a neighbour's status;
 - every observed flag changes inside a recorded event, so the same
   record puts a vertex whose flag changed back on Deg2c, ObsNP and ObsE,
   the rules that read it, and its neighbours on Deg2c, which also reads
   its neighbours' flags;
 - ObsE reads only its edge, the ends' statuses and their observed flags,
-  so it also takes back the edges the event adds.
+  so it also takes back the edges the event added.
 
 A site goes back only on the sets of the rules that accept its class,
 the status, degree and propagating flag of its vertex or of both ends of
-its edge: a rule's guard fails at any other class, and every event that
-changes a vertex's class names the vertex. So a site outside the set
-never holds, and the smallest pending site that holds is the one a full
-rescan would fire: the worklist changes how many guards are tried, not
-which rule fires where. The driver also skips a Dom or NecN pass when
+its edge: a rule's guard fails at any other class, and every change of a
+vertex's class is a recorded change of its status or flag or of an edge
+at it. So a site outside the set never holds, and the smallest pending
+site that holds is the one a full rescan would fire: the worklist
+changes how many guards are tried, not which rule fires where. The driver also skips a Dom or NecN pass when
 nothing but its own events has been recorded since it last ran, because
 such a pass could fire nothing (see `_Driver.run`).
 
@@ -103,14 +107,15 @@ UND, PRE, EXC = 0, 1, 2
 
 @dataclass(frozen=True)
 class ReductionEvent:
+    """What a rule decided at its site: the vertices it pre-selected,
+    excluded and deleted. The edges it added or removed and the flags it
+    cleared are the work state's record, not the event's."""
+
     rule: RuleId
     site: tuple
     selected: tuple = ()
     excluded: tuple = ()
     deleted: tuple = ()
-    made_nonpropagating: tuple = ()
-    edges_added: tuple = ()
-    edges_removed: tuple = ()
 
 
 @dataclass
@@ -147,6 +152,13 @@ class _Work:
     the vertices whose observed flag they may have changed.
     `status_changed` collects the vertices whose status they changed; a
     call that sets a vertex's status to the one it has adds nothing.
+    Likewise `edges_changed` collects the edges, as (smaller, larger) id
+    pairs, that they really added or removed, and `propagating_changed`
+    the vertices whose propagating flag they cleared. These four sets are
+    the one record of what an event edited; the driver reads and clears
+    them after each event. A deletion needs no entry of its own: it
+    removes the vertex's edges, and the driver puts back no site at a
+    deleted vertex.
     """
 
     def __init__(self, inst):
@@ -169,6 +181,8 @@ class _Work:
         self.obs = observe_from(self, self.pre_selected())
         self.obs_changed = set()
         self.status_changed = set()
+        self.edges_changed = set()
+        self.propagating_changed = set()
 
     # mutations ------------------------------------------------------------
 
@@ -185,6 +199,7 @@ class _Work:
             self.adj[u].add(v)
             self.adj[v].add(u)
             self.edge_count += self.status[u] != PRE and self.status[v] != PRE
+            self.edges_changed.add((u, v) if u < v else (v, u))
             self.obs_changed.update(self.obs.edge_added(u, v))
 
     def remove_edge(self, u, v):
@@ -192,6 +207,7 @@ class _Work:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
             self.edge_count -= self.status[u] != PRE and self.status[v] != PRE
+            self.edges_changed.add((u, v) if u < v else (v, u))
             self.obs_changed.update(self.obs.edge_removed(u, v))
 
     def set_status(self, v, status):
@@ -213,6 +229,7 @@ class _Work:
         if self.propagating[v]:
             self.propagating_count -= 1
             self.propagating[v] = False
+            self.propagating_changed.add(v)
             self.obs_changed.update(self.obs.flag_cleared(v))
 
     # queries ---------------------------------------------------------------
@@ -276,15 +293,12 @@ def _deg1b(work, v):
     if work.propagating[w]:
         work.delete(v)
         work.set_nonpropagating(w)
-        return ReductionEvent(RuleId.DEG1B, (v, w), deleted=(v,),
-                              made_nonpropagating=(w,),
-                              edges_removed=((min(v, w), max(v, w)),))
+        return ReductionEvent(RuleId.DEG1B, (v, w), deleted=(v,))
     if work.status[w] != EXC:
         work.delete(v)
         work.set_status(w, PRE)
         return ReductionEvent(RuleId.DEG1B, (v, w), deleted=(v,),
-                              selected=(w,),
-                              edges_removed=((min(v, w), max(v, w)),))
+                              selected=(w,))
     return None
 
 
@@ -305,13 +319,10 @@ def _tri(work, site):
     z = next(iter(zx))
     if work.status[z] != UND:
         return None
-    removed = tuple(sorted({tuple(sorted((x, y))), tuple(sorted((x, z))),
-                            tuple(sorted((y, z)))}))
     work.set_status(z, PRE)
     work.delete(x)
     work.delete(y)
-    return ReductionEvent(RuleId.TRI, (x, y), selected=(z,), deleted=(x, y),
-                          edges_removed=removed)
+    return ReductionEvent(RuleId.TRI, (x, y), selected=(z,), deleted=(x, y))
 
 
 def _deg2a(work, v):
@@ -337,10 +348,7 @@ def _deg2b(work, v):
         return None
     work.delete(v)
     work.add_edge(x, y)
-    return ReductionEvent(RuleId.DEG2B, (v,), deleted=(v,),
-                          edges_added=((x, y),),
-                          edges_removed=(tuple(sorted((x, v))),
-                                         tuple(sorted((y, v)))))
+    return ReductionEvent(RuleId.DEG2B, (v,), deleted=(v,))
 
 
 def _deg2c(work, v):
@@ -373,12 +381,7 @@ def _deg2c(work, v):
     work.remove_edge(keep, v)
     work.delete(rem)
     work.add_edge(keep, z_rem)
-    return ReductionEvent(
-        RuleId.DEG2C, (v, keep, rem), deleted=(rem,),
-        edges_added=(tuple(sorted((keep, z_rem))),),
-        edges_removed=tuple(sorted({tuple(sorted((keep, v))),
-                                    tuple(sorted((rem, v))),
-                                    tuple(sorted((rem, z_rem)))})))
+    return ReductionEvent(RuleId.DEG2C, (v, keep, rem), deleted=(rem,))
 
 
 def _onlyn(work, v):
@@ -407,10 +410,8 @@ def _obsnp(work, v):
         return None
     if not work.obs.observed[v]:
         return None
-    removed = tuple(sorted(tuple(sorted((v, w))) for w in work.adj[v]))
     work.delete(v)
-    return ReductionEvent(RuleId.OBSNP, (v,), deleted=(v,),
-                          edges_removed=removed)
+    return ReductionEvent(RuleId.OBSNP, (v,), deleted=(v,))
 
 
 def _obse(work, site):
@@ -427,14 +428,10 @@ def _obse(work, site):
     if not (observed[v] and observed[w]):
         return None
     x = min(work.obs.selected)
-    added = []
     work.remove_edge(v, w)
-    for end in (v, w):
-        if x not in work.adj[end]:
-            work.add_edge(end, x)
-            added.append(tuple(sorted((end, x))))
-    return ReductionEvent(RuleId.OBSE, (v, w), edges_added=tuple(added),
-                          edges_removed=(tuple(sorted((v, w))),))
+    work.add_edge(v, x)
+    work.add_edge(w, x)
+    return ReductionEvent(RuleId.OBSE, (v, w))
 
 
 _LOCAL_APPLY = {
@@ -569,17 +566,19 @@ def apply_rule_once(inst, rule, site):
     """Apply one rule at one site if its guard holds.
 
     `site` is a vertex id for vertex rules, an edge pair for Tri/ObsE and
-    an ordered vertex pair for Dom. Returns a RuleApplication whose
-    instance is compacted to dense ids with `to_original` mapping kernel
-    ids back.
+    an ordered vertex pair for Dom. A fire is recorded as `reduce_full`
+    records one, so it must lower the reduction measure. Returns a
+    RuleApplication whose instance is compacted to dense ids with
+    `to_original` mapping kernel ids back.
     """
-    work = _Work(inst)
+    driver = _Driver(inst, ())
     fn = {RuleId.DOM: _dom_single, RuleId.NECN: _necn_single}.get(rule)
     fn = fn or _LOCAL_APPLY[rule]
-    event = fn(work, tuple(site) if rule in _EDGE_SITE_RULES else site)
+    event = fn(driver.work, tuple(site) if rule in _EDGE_SITE_RULES else site)
     if event is None:
         return RuleApplication(False, inst, None, tuple(range(inst.n)))
-    kernel, to_original = work.snapshot()
+    driver._record(event)
+    kernel, to_original = driver.work.snapshot()
     return RuleApplication(True, kernel, event, to_original)
 
 
@@ -629,18 +628,20 @@ class _Driver:
         # an undecided status.
         self.measure = self.work.measure()
         # Pending sites per enabled local rule, in `LOCAL_RULES` order;
-        # every site outside its set fails its guard. `_record` puts a
-        # site back on the sets whose rule's guard reads an input the event
-        # changed, each through the class table of the rules that read it
-        # (see `_READS_OWN` and below): `own_table` for the vertices the
-        # event names and the structure around its edited edges,
+        # every site outside its set fails its guard. `_record` reads what
+        # the event edited off the work state and puts a site back on the
+        # sets whose rule's guard reads an input the event changed, each
+        # through the class table of the rules that read it (see
+        # `_READS_OWN` and below): `own_table` for the vertices whose
+        # status or propagating flag changed, the neighbours of a cleared
+        # flag and the structure around each edited edge,
         # `neighbour_status_table` for the neighbours of a vertex whose
-        # status it changed, and `observed_table` and
+        # status changed, and `observed_table` and
         # `neighbour_observed_table` for a vertex whose observed flag
         # differs from `tested_observed`, the flags the sets were last put
         # back under, and for its neighbours. ObsE's guard can come to hold
         # only at an added edge or at a flag change, so events also put
-        # back its sites at the edges they add. The first put-back covers
+        # back its sites at the edges they added. The first put-back covers
         # every vertex on every rule.
         enabled = tuple(r for r in LOCAL_RULES if r in self.rules)
         self.pending = [_Pending(r) for r in enabled]
@@ -669,8 +670,28 @@ class _Driver:
         self.measure = measure
         self.events.append(event)
         if self.pending:
-            adj = work.adj
-            self._requeue(self._touched_by(event), self.own_table)
+            adj, status = work.adj, work.status
+            # Own class and the structure around it: a vertex whose status
+            # or flag changed, the neighbours of a cleared flag, and around
+            # each edited edge its ends, their common neighbours and the
+            # neighbours of an end left with degree at most two, since
+            # degree-two guards read a neighbour's degree and its other
+            # neighbour. A deleted vertex's former neighbours are the
+            # other ends of the edges its deletion removed.
+            touched = work.status_changed | work.propagating_changed
+            for v in work.propagating_changed:
+                touched |= adj[v]
+            for u, v in work.edges_changed:
+                touched.add(u)
+                touched.add(v)
+                touched |= adj[u] & adj[v]
+                for end in (u, v):
+                    if len(adj[end]) <= 2:
+                        touched |= adj[end]
+                if (self.obse is not None and v in adj[u]
+                        and status[u] != PRE and status[v] != PRE):
+                    self.obse.add((u, v))
+            self._requeue(touched, self.own_table)
             self._requeue({w for v in work.status_changed for w in adj[v]},
                           self.neighbour_status_table)
             # A Dom fire, recorded under the pass's trial selection, only
@@ -684,37 +705,8 @@ class _Driver:
                           self.neighbour_observed_table)
         work.obs_changed.clear()
         work.status_changed.clear()
-        if self.obse is not None:
-            status = work.status
-            for u, v in event.edges_added:
-                if status[u] != PRE and status[v] != PRE:
-                    self.obse.add((u, v))
-
-    def _touched_by(self, event):
-        """Vertices whose own class, or the structure around them, the
-        event may have changed: the vertices it names, and around each
-        edge it edits the ends, their common neighbours, and the
-        neighbours of an end left with degree at most two. A vertex that
-        loses its propagating flag puts back its neighbours too.
-
-        A deleted vertex has lost its edges, so its former neighbours are
-        found as the endpoints of the removed edges, which events list.
-        """
-        adj = self.work.adj
-        touched = {*event.site, *event.selected, *event.excluded,
-                   *event.deleted, *event.made_nonpropagating}
-        for v in event.made_nonpropagating:
-            touched |= adj[v]
-        for u, v in event.edges_added + event.edges_removed:
-            touched.add(u)
-            touched.add(v)
-            touched |= adj[u] & adj[v]
-            for end in (u, v):
-                # Degree-two guards read a neighbour's degree and its
-                # other neighbour.
-                if len(adj[end]) <= 2:
-                    touched |= adj[end]
-        return touched
+        work.edges_changed.clear()
+        work.propagating_changed.clear()
 
     def _requeue(self, vertices, table):
         """Put back the vertex sites in `vertices` and the edge sites at
@@ -723,8 +715,9 @@ class _Driver:
         and among them those whose rule accepts the site's class, the
         status, degree and propagating flag of its vertex, or of both
         ends of its edge. A site of another class fails its rule's guard,
-        and stays out until an event changes its class; every such event
-        names the vertex, which `_touched_by` then puts back on `own_table`,
+        and stays out until an event changes its class; the work state
+        records every such change, a status, a cleared flag or an edge at
+        the vertex, and `_record` then puts the vertex back on `own_table`,
         the table of every rule that reads its own class. No rule accepts a
         pre-selected vertex, so sites at one never come back: no local
         rule fires there, and pre-selection is final."""
@@ -856,20 +849,6 @@ class _Driver:
                 necn_ran = len(self.events)
             if not changed:
                 break
-
-
-def apply_nonlocal(inst, rule):
-    """One exhaustive pass of Dom or NecN on its own."""
-    driver = _Driver(inst, {rule})
-    if rule is RuleId.DOM:
-        driver.dom_pass()
-    elif rule is RuleId.NECN:
-        driver.necn_pass()
-    else:
-        raise ValueError(f"{rule} is not a non-local rule")
-    kernel, to_original = driver.work.snapshot()
-    log = ReductionLog(inst, driver.events, to_original)
-    return kernel, log
 
 
 def reduce_full(inst, rules=None, deadline=None):

@@ -206,11 +206,11 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
         emit("lower", lower)
         if lower > len(best):
             raise AssertionError("lower bound exceeded a feasible upper bound")
-        if observe_from(sub, sub.pre_selected | hit).is_complete():
-            best = SolutionSet(frozenset(sub.pre_selected | hit))
-        elif lower < len(best):
-            best = min(best, greedy_complete(sub, hit, deadline=deadline),
-                       key=len)
+        # The completion has size `lower` exactly when the hitting set
+        # observes the graph on its own, and is then kept even on a tie.
+        completion = greedy_complete(sub, hit, deadline=deadline)
+        if len(completion) == lower or len(completion) < len(best):
+            best = completion
         emit("upper", len(best))
         if lower == len(best):
             # Bound sandwich: the incumbent is optimal.

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_export_milp(p3_file, tmp_path, capsys):
     assert main(["export-milp", p3_file]) == 0
     out = capsys.readouterr().out.strip()
     assert out == p3_file + ".pds-milp.lp"
-    model = parse_lp(open(out).read())
+    model = parse_lp(Path(out).read_text())
     assert any(name.startswith("x_") for name, _ in model.objective)
 
 
@@ -116,7 +117,7 @@ def test_transform_circuit(tmp_path, capsys):
     assert main(["transform-circuit", str(ckt)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["parameter_shift"] == 1
-    inst = parse_instance(open(payload["output"]).read())
+    inst = parse_instance(Path(payload["output"]).read_text())
     assert inst.n == payload["vertices"]
     assert all(inst.propagating)
 

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from powerdom import (LOCAL_RULES, Circuit, PdsInstance, RuleId,
-                      applicable_sites, apply_nonlocal, apply_rule_once,
+                      applicable_sites, apply_rule_once,
                       full_chain_detailed, lift_solution, observe_from,
                       oracle_pds, reduce_full, reductions)
 from powerdom.bruteforce import observed_set
@@ -160,19 +160,23 @@ def test_local_exhaustive_empty_graph():
     assert kernel.n == 0 and log.events == []
 
 
+# With one non-local rule alone, `reduce_full` runs a single pass of it:
+# a pass that fires is not run again before another rule's event.
+
+
 def test_nonlocal_dom_star():
-    kernel, log = apply_nonlocal(star_graph(3), RuleId.DOM)
+    kernel, log, _ = reduce_full(star_graph(3), {RuleId.DOM})
     assert kernel.excluded == {1, 2, 3}
     # immediately re-running Dom changes nothing
-    kernel2, log2 = apply_nonlocal(kernel, RuleId.DOM)
+    kernel2, log2, _ = reduce_full(kernel, {RuleId.DOM})
     assert log2.events == []
 
 
 def test_nonlocal_necn():
-    kernel, _ = apply_nonlocal(PdsInstance(1), RuleId.NECN)
+    kernel, _, _ = reduce_full(PdsInstance(1), {RuleId.NECN})
     assert kernel.pre_selected == {0}
     # P4: every vertex is avoidable, nothing selected
-    kernel, log = apply_nonlocal(path_graph(4), RuleId.NECN)
+    kernel, log, _ = reduce_full(path_graph(4), {RuleId.NECN})
     assert log.events == []
 
 
@@ -181,8 +185,8 @@ def test_nonlocal_single_pass_exhaustive():
     for rule in (RuleId.DOM, RuleId.NECN):
         for seed in range(30):
             inst = random_instance(seed, n_max=9)
-            once, _ = apply_nonlocal(inst, rule)
-            _, again = apply_nonlocal(once, rule)
+            once, _, _ = reduce_full(inst, {rule})
+            _, again, _ = reduce_full(once, {rule})
             assert again.events == [], (rule, seed)
 
 
@@ -437,9 +441,13 @@ def test_obse_hub_fires_deg1b_at_a_pre_selected_hub():
     rules = [e.rule for e in log.events]
     assert rules.count(RuleId.DEG1B) == 8
     assert {e.selected for e in log.events if e.rule is RuleId.DEG1B} == {(0,)}
-    assert {(0, 7), (0, 8)} <= {edge for e in log.events
-                                if e.rule is RuleId.OBSE
-                                for edge in e.edges_added}
+    # ObsE rewires 3-7 and 4-8 to the hub.
+    for v, w in ((3, 7), (4, 8)):
+        assert RuleId.OBSE in {e.rule for e in log.events if e.site == (v, w)}
+        res = apply_rule_once(_obse_hub(), RuleId.OBSE, (v, w))
+        edges = {tuple(res.to_original[u] for u in edge)
+                 for edge in res.instance.edges}
+        assert (v, w) not in edges and (0, w) in edges
 
 
 def _pending_at(driver, vertices):
@@ -643,7 +651,11 @@ def test_measure_check_trips_on_a_fire_that_changes_nothing(rule,
         monkeypatch.setitem(reductions._LOCAL_APPLY, rule, noop)
     else:
         monkeypatch.setattr(reductions, "_" + rule.name.lower(), noop)
-    inst, _ = rule_pattern_instance(rule.value, 0)
+    inst, site = rule_pattern_instance(rule.value, 0)
     with pytest.raises(AssertionError,
                        match=f"{rule.value} did not decrease"):
         reduce_full(inst, rules={rule})
+    # A single-site fire goes through the same check.
+    with pytest.raises(AssertionError,
+                       match=f"{rule.value} did not decrease"):
+        apply_rule_once(inst, rule, site)

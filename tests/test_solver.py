@@ -302,10 +302,10 @@ def test_jobs_time_limit_bounds_the_workers():
 
 
 def test_time_limit_bounds_the_reduction():
-    # All rules take about 3 s to reduce this graph to its fixpoint on a
-    # 2-core x86 machine, ten times the limit; the solve must stop
-    # reducing at the deadline and still return a feasible solution. The
-    # reduction's own deadline check is pinned, independent of machine
+    # All rules take 0.5-0.85 s to reduce this graph to its fixpoint on a
+    # 2-core x86 machine, two to three times the limit; the solve must
+    # stop reducing at the deadline and still return a feasible solution.
+    # The reduction's own deadline check is pinned, independent of machine
     # speed, by test_deadline_cuts_the_reduction_to_a_safe_prefix in
     # test_reductions.py.
     inst = gridlike_graph(5000, 1)
