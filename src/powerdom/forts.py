@@ -92,13 +92,24 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
 
     Splits the vertices into X (pre-selected), Y (excluded), H (the
     hitting set) and the undecided remainder U. Starting from the full
-    candidate (all of H, X and U selected), vertices of U are swept out one at a time
-    in a seeded random order; a removal that breaks the solution emits the
-    unobserved set as a fort (minimized against the removed pool) and is
-    undone on the next step. The re-selections that minimize a fort are
-    undone by rolling back to a checkpoint taken before them. Every
-    emitted fort neighborhood is disjoint from H and X, and at least one
-    fort is returned whenever H with X is not already a solution.
+    candidate (all of H, X and U selected), vertices of U are swept out
+    one at a time in a seeded random order; a removal that breaks the
+    solution emits the unobserved set as a fort (minimized against the
+    removed pool) and is undone on the next step. The re-selections that
+    minimize a fort are undone by rolling back to a checkpoint taken
+    before them. Every emitted fort neighborhood is disjoint from H and
+    X, and at least one fort is returned whenever H with X is not
+    already a solution.
+
+    The sweep starts at its first fort. Observation only grows with the
+    selection, so the removals before the first fort all keep a
+    solution, and the first fort comes at the step j where H, X and the
+    vertices after order[j] leave a vertex unobserved but order[j] with
+    them does not. A backward pass finds j: it observes from H and X,
+    selects the order from the back until the graph is observed, and
+    rolls that last select back, which leaves the state of step j with
+    no deselect. The pass is not checked against the deadline; it costs
+    O(n + m), as one full observation does.
 
     Randomness comes from numpy's PCG64 generator, so a fixed seed
     reproduces the fort list on any platform. Once the `perf_counter`
@@ -108,24 +119,34 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     hitting_set = frozenset(hitting_set)
     base = hitting_set | inst.pre_selected
     pool = [v for v in inst.undecided() if v not in base]
-    state = observe_from(inst, base | set(pool))
-    if not state.is_complete():
-        raise InfeasibleInstanceError(
-            "selecting every non-excluded vertex does not observe the graph")
     rng = np.random.default_rng(seed)
     order = [pool[int(i)] for i in rng.permutation(len(pool))]
+    state = observe_from(inst, base)
+    if state.is_complete():
+        return []
+    for first in range(len(order) - 1, -1, -1):
+        mark = state.checkpoint()
+        state.select(order[first])
+        if state.is_complete():
+            state.rollback(mark)
+            break
+        state.release(mark)
+    else:
+        raise InfeasibleInstanceError(
+            "selecting every non-excluded vertex does not observe the graph")
 
     forts = []
     seen = set()
-    removed = set()
-    prev_was_solution = True
-    for i, u in enumerate(order):
+    removed = set(order[:first])
+    for i in range(first, len(order)):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        if not prev_was_solution:
-            state.select(order[i - 1])
-            removed.discard(order[i - 1])
-        state.deselect(u)
+        u = order[i]
+        if i > first:
+            if not prev_was_solution:
+                state.select(order[i - 1])
+                removed.discard(order[i - 1])
+            state.deselect(u)
         removed.add(u)
         prev_was_solution = state.is_complete()
         if prev_was_solution:

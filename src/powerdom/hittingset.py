@@ -105,19 +105,27 @@ def _kernel(sets):
             continue
         kept = []  # a superset is hit whenever its subset is
         for m in sorted(set(sets), key=lambda m: (m.bit_count(), m)):
-            if not any(k & m == k for k in kept):
+            for k in kept:
+                if k & m == k:
+                    break
+            else:
                 kept.append(m)
         # An element lying in every set of another can replace it, so the
         # other is dropped; equal incidence keeps the lowest id. This is a
         # strict order, so every dropped element keeps a dominator.
         within, count = {}, {}
         for m in kept:
-            for bit in _bits(m):
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
                 within[bit] = within.get(bit, m) & m
                 count[bit] = count.get(bit, 0) + 1
         drop = 0
         for bit, cand in within.items():
             cand &= ~bit
+            if not cand:
+                continue
             if cand & (bit - 1) or any(count[v] > count[bit]
                                        for v in _bits(cand)):
                 drop |= bit

@@ -45,11 +45,11 @@ SELF = ("self",)
 class ObservationState:
     """Single-writer observation fixpoint over a graph.
 
-    The graph is anything with `n`, `adj`, `propagating` and `degree(v)`,
-    such as a `PdsInstance` or the reduction work state. Its owner may
-    change it between operations, one edit at a time, provided it reports
-    each edit right after making it: `edge_added(u, v)` once v is in
-    adj[u] and u in adj[v], `edge_removed(u, v)` once both are gone, and
+    The graph is anything with `n`, `adj` and `propagating`, such as a
+    `PdsInstance` or the reduction work state. Its owner may change it
+    between operations, one edit at a time, provided it reports each
+    edit right after making it: `edge_added(u, v)` once v is in adj[u]
+    and u in adj[v], `edge_removed(u, v)` once both are gone, and
     `flag_cleared(v)` once `propagating[v]` is false. Deleting a vertex is
     removing each of its edges; an isolated vertex that is not selected is
     unobserved. Each report repairs the fixpoint locally and returns the
@@ -83,7 +83,7 @@ class ObservationState:
         self.observed = [False] * inst.n
         self.witness = [None] * inst.n
         self.prop_child = [-1] * inst.n
-        self.unobs_count = [inst.degree(v) for v in range(inst.n)]
+        self.unobs_count = list(map(len, inst.adj))
         self.observed_count = 0
         # Undo records while a checkpoint is open: a marked vertex as its
         # id, a select as (vertex, its witness before the select).

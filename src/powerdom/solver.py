@@ -208,9 +208,14 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
             raise AssertionError("lower bound exceeded a feasible upper bound")
         # The completion has size `lower` exactly when the hitting set
         # observes the graph on its own, and is then kept even on a tie.
-        completion = greedy_complete(sub, hit, deadline=deadline)
-        if len(completion) == lower or len(completion) < len(best):
-            best = completion
+        # Once `lower` ties the incumbent, no other completion is kept, so
+        # only that case is checked.
+        if lower < len(best):
+            completion = greedy_complete(sub, hit, deadline=deadline)
+            if len(completion) == lower or len(completion) < len(best):
+                best = completion
+        elif observe_from(sub, sub.pre_selected | hit).is_complete():
+            best = SolutionSet(sub.pre_selected | hit)
         emit("upper", len(best))
         if lower == len(best):
             # Bound sandwich: the incumbent is optimal.

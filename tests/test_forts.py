@@ -8,7 +8,8 @@ from powerdom import (enumerate_minimal_forts, find_forts, fort_from_candidate,
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.forts import closed_neighborhood
 from powerdom.instance import PdsInstance
-from powerdom.propagation import observe_from
+from powerdom.propagation import ObservationState, observe_from
+from powerdom.solver import greedy_complete
 
 from conftest import gridlike_graph, path_graph, random_instance, star_graph
 
@@ -210,3 +211,95 @@ def test_sweep_matches_a_from_scratch_sweep():
         assert forts == _fresh_observe_find_forts(inst, hitting, seed)
         compared += len(forts)
     assert compared > 300
+
+
+def _sweep_order(inst, hitting_set, seed):
+    base = frozenset(hitting_set) | inst.pre_selected
+    pool = [v for v in inst.undecided() if v not in base]
+    rng = np.random.default_rng(seed)
+    return base, [pool[int(i)] for i in rng.permutation(len(pool))]
+
+
+def _first_fort_step(inst, hitting_set, seed):
+    """The sweep's order and the index of its first fort, from scratch:
+    the first j where H, X and the vertices after order[j] leave a vertex
+    unobserved; None when H with X is already a solution."""
+    base, order = _sweep_order(inst, hitting_set, seed)
+    for j in range(len(order)):
+        if not observe_from(inst, base | set(order[j + 1:])).is_complete():
+            return order, j
+    return order, None
+
+
+def _late_start_corpus():
+    """(instance, hitting set, seed, kind) draws whose first fort comes
+    late or never: H of 40-60% of the undecided vertices; H with X
+    already a solution; and a first fort at the last step of the order.
+    Feasible instances only."""
+    rng = np.random.default_rng(11)
+    corpus = ([random_instance(seed, n_max=20, m_max=40)
+               for seed in range(60)]
+              + [gridlike_graph(60, s) for s in range(1, 6)])
+    for inst in corpus:
+        try:
+            solution = greedy_complete(inst).selected - inst.pre_selected
+        except InfeasibleInstanceError:
+            continue
+        undecided = inst.undecided()
+        for _ in range(2):
+            share = rng.uniform(0.4, 0.6)
+            hitting = frozenset(v for v in undecided if rng.random() < share)
+            yield inst, hitting, int(rng.integers(1000)), "large"
+        extra = frozenset(v for v in undecided if rng.random() < 0.3)
+        yield inst, solution | extra, int(rng.integers(1000)), "solved"
+        if not solution:
+            continue
+        # Greedy's pruned completion is minimal, so without its vertex v
+        # it is not a solution; a seed that puts v last in the order puts
+        # the first fort at the last step.
+        v = max(solution)
+        hitting = solution - {v}
+        for seed in range(5000):
+            _, order = _sweep_order(inst, hitting, seed)
+            if order[-1] == v:
+                yield inst, hitting, seed, "last"
+                break
+
+
+def test_late_sweep_starts_match_both_references():
+    kinds = {"large": 0, "solved": 0, "last": 0}
+    for inst, hitting, seed, kind in _late_start_corpus():
+        order, first = _first_fort_step(inst, hitting, seed)
+        forts = find_forts(inst, hitting, seed=seed)
+        assert forts == _select_deselect_find_forts(inst, hitting, seed)
+        assert forts == _fresh_observe_find_forts(inst, hitting, seed)
+        if kind == "solved":
+            assert first is None and forts == []
+        elif kind == "last":
+            assert first == len(order) - 1 and forts
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_sweep_deselects_nothing_before_its_first_fort(monkeypatch):
+    calls = []
+    deselect = ObservationState.deselect
+
+    def counted(state, v):
+        calls.append(v)
+        return deselect(state, v)
+
+    monkeypatch.setattr(ObservationState, "deselect", counted)
+    late = 0
+    draws = [(inst, hitting, seed)
+             for inst, hitting, seed, _forts in _sweep_corpus()]
+    draws += [(inst, hitting, seed)
+              for inst, hitting, seed, _kind in _late_start_corpus()]
+    for inst, hitting, seed in draws:
+        order, first = _first_fort_step(inst, hitting, seed)
+        calls.clear()
+        find_forts(inst, hitting, seed=seed)
+        # One deselect per step after the first fort, none before it.
+        assert calls == ([] if first is None else order[first + 1:])
+        late += first is not None and first > len(order) // 2
+    assert late >= 50

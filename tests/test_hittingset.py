@@ -6,7 +6,7 @@ import pytest
 
 from powerdom import HittingSetInstance, solve_exact, solve_greedy
 from powerdom.errors import InfeasibleInstanceError
-from powerdom.hittingset import HittingSetTimeout
+from powerdom.hittingset import HittingSetTimeout, _kernel
 
 
 def brute_minimum(universe, sets):
@@ -157,3 +157,61 @@ def test_passed_deadline_stops_a_search_that_branches():
     # The kernel alone answers this one: no branching, so no deadline check.
     hs = HittingSetInstance(range(4), [{1}, {2, 3}, {1, 2}])
     assert solve_exact(hs, deadline=time.perf_counter())[1] == 2
+
+
+def _reference_kernel(masks):
+    """Weihe's rules on Python sets, each written from its definition:
+    elements of singletons are taken and their sets hit; sets with a
+    proper subset in the family are dropped; an element e is dropped when
+    another element f lies in every set e lies in, and in more sets or
+    has the lower id. Returns what `_kernel` returns."""
+    def elements(m):
+        return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
+
+    def mask(elems):
+        return sum(1 << i for i in elems)
+
+    family = [elements(m) for m in masks]
+    taken = set()
+    while True:
+        if frozenset() in family:
+            return mask(taken), None
+        units = {e for s in family if len(s) == 1 for e in s}
+        if units:
+            taken |= units
+            family = [s for s in family if not s & units]
+            continue
+        distinct = set(family)
+        kept = [s for s in distinct if not any(t < s for t in distinct)]
+        inside = {e: {i for i, s in enumerate(kept) if e in s}
+                  for s in kept for e in s}
+        drop = {e for e in inside for f in inside
+                if f != e and inside[e] <= inside[f]
+                and (inside[e] < inside[f] or f < e)}
+        if not drop:
+            return mask(taken), sorted(
+                map(mask, kept), key=lambda m: (m.bit_count(), m))
+        family = [s - drop for s in kept]
+
+
+def test_kernel_matches_a_reference_kernel():
+    rng = random.Random(5)
+    families = [[], [0], [0b1, 0b10, 0b100], [0b11, 0, 0b1]]
+    for _ in range(400):
+        width = rng.randint(1, 10)
+        draw = rng.random()
+        if draw < 0.1:  # singletons only
+            sets = [1 << rng.randrange(width)
+                    for _ in range(rng.randint(1, 6))]
+        else:
+            sets = [rng.randrange(1, 1 << width)
+                    for _ in range(rng.randint(0, 12))]
+            if draw < 0.2:
+                sets.insert(rng.randint(0, len(sets)), 0)
+        families.append(sets)
+    reduced = 0
+    for sets in families:
+        taken, kept = _kernel(sets)
+        assert (taken, kept) == _reference_kernel(sets), sets
+        reduced += kept is not None and len(kept) < len(set(sets))
+    assert reduced >= 100

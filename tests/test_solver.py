@@ -321,9 +321,10 @@ def test_time_limit_bounds_the_reduction():
 
 
 def test_time_limit_bounds_fort_generation():
-    # One fort sweep over this grid takes about a second with no
-    # reductions (0.95 s for the first on a 2-core x86 machine), so the
-    # solve must stop inside a sweep.
+    # One fort sweep over this grid takes about half a second with no
+    # reductions (0.44-0.66 s for the first on a 2-core x86 machine
+    # shared with other tenants), and the limit falls in the fourth, so
+    # the solve must stop inside a sweep.
     inst = grid_graph(24)
     limit = 3.0
     t0 = time.perf_counter()
