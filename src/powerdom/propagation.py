@@ -7,23 +7,25 @@ selection set on a graph that may change:
 * propagation: an observed propagating vertex with exactly one
   unobserved neighbor observes that neighbor.
 
-Selections can be added and removed in arbitrary order. Every observed
-vertex carries a witness (selected itself / dominated by s / propagated
-from u). Removing a selection, an edge or a propagating flag, or adding
-an edge, invalidates exactly the observations whose derivation the edit
-may break, together with everything derived through them, and then
-re-propagates from the boundary; so the state always equals a
-from-scratch recomputation on the current graph and selection. Removing
-a selection first re-dominates what another selected vertex still
-covers: such a vertex stays observed under the new witness, and only
-the rest is invalidated, so a deselect inside a dense selection often
-invalidates nothing.
+Selections can be added and removed in arbitrary order. The state counts,
+for every vertex, the selected vertices in its closed neighbourhood, and
+links each vertex that propagation observed to the vertex that
+propagated to it. A vertex is observed exactly when its count is
+positive or it has a propagation parent, so losing a dominator is an
+O(1) test and needs no search for another. Removing a selection, an
+edge or a propagating flag, or adding an edge, invalidates exactly the
+observations whose derivation the edit may break, together with
+everything derived through them, and then re-propagates from the
+boundary; so the state always equals a from-scratch recomputation on
+the current graph and selection.
 
 A vertex propagates to its single unobserved neighbour, after which all
 its neighbours are observed, so it has at most one propagation child at
 a time. Before it could propagate again, a neighbour must lose its
 observation or it must gain an edge, and both first take that child
-back; so each vertex keeps its child as one id.
+back; so each vertex keeps its child, and its parent, as one id. A link
+is made only to a vertex that was unobserved, and goes when either end
+is unmarked, so the links form a forest whose roots are dominated.
 
 A caller that only tries selections and takes them back can instead open
 a checkpoint and roll back to it. While a checkpoint is open, every
@@ -38,8 +40,6 @@ cannot undo them.
 from __future__ import annotations
 
 from collections import deque
-
-SELF = ("self",)
 
 
 class ObservationState:
@@ -66,28 +66,33 @@ class ObservationState:
     checkpoint `mark` was opened. `deselect` raises while any checkpoint
     is open.
 
-    `prop_child[u]` is w exactly when `witness[w]` is ("prop", u), else
-    -1. `_propagate` sets it, `_unlink` clears it when w is unmarked or
-    re-witnessed, and `rollback` restores it. `_invalidate` of any t
-    unmarks the children of t and of t's neighbours, and `edge_added` and
-    `flag_cleared` seed it with the children they find, so a vertex's
-    child is gone before the vertex can propagate again.
+    `dom_count[t]` is the number of selected vertices in N[t].
+    `prop_parent[w]` is u and `prop_child[u]` is w exactly when u
+    propagated to w, else both are -1; `observed[t]` holds exactly when
+    `dom_count[t]` is positive or `prop_parent[t]` is not -1. A link
+    u -> w stays only while u is observed, propagating and has every
+    neighbour observed: `_invalidate` of any t drops the links out of t
+    and out of t's neighbours, `edge_added` and `flag_cleared` drop the
+    links out of the vertices they change, and `edge_removed` drops a
+    link between its ends.
     """
 
-    __slots__ = ("inst", "selected", "observed", "witness", "prop_child",
-                 "unobs_count", "observed_count", "_trail", "_levels")
+    __slots__ = ("inst", "selected", "observed", "dom_count", "prop_parent",
+                 "prop_child", "unobs_count", "observed_count", "_trail",
+                 "_levels")
 
     def __init__(self, inst):
         self.inst = inst
         self.selected = set()
         self.observed = [False] * inst.n
-        self.witness = [None] * inst.n
+        self.dom_count = [0] * inst.n
+        self.prop_parent = [-1] * inst.n
         self.prop_child = [-1] * inst.n
         self.unobs_count = list(map(len, inst.adj))
         self.observed_count = 0
         # Undo records while a checkpoint is open: a marked vertex as its
-        # id, a select as (vertex, its witness before the select).
-        # `_levels` holds each open checkpoint's trail length.
+        # id, a select of v as ~v. `_levels` holds each open checkpoint's
+        # trail length.
         self._trail = []
         self._levels = []
 
@@ -102,9 +107,8 @@ class ObservationState:
 
     # -- internal helpers -------------------------------------------------
 
-    def _mark(self, v, witness, queue):
+    def _mark(self, v, queue):
         self.observed[v] = True
-        self.witness[v] = witness
         self.observed_count += 1
         if self._levels:
             self._trail.append(v)
@@ -121,15 +125,12 @@ class ObservationState:
         vertices that may now propagate; the caller propagates."""
         self.selected.add(v)
         if self._levels:
-            self._trail.append((v, self.witness[v]))
-        if self.observed[v]:
-            self._unlink(v)
-            self.witness[v] = SELF
-        else:
-            self._mark(v, SELF, queue)
-        for w in self.inst.adj[v]:
-            if not self.observed[w]:
-                self._mark(w, ("dom", v), queue)
+            self._trail.append(~v)
+        observed, dom_count = self.observed, self.dom_count
+        for t in (v, *self.inst.adj[v]):
+            dom_count[t] += 1
+            if not observed[t]:
+                self._mark(t, queue)
 
     def _propagate(self, queue):
         prop = self.inst.propagating
@@ -139,67 +140,64 @@ class ObservationState:
                 continue
             for w in self.inst.adj[u]:
                 if not self.observed[w]:
-                    self._mark(w, ("prop", u), queue)
+                    self._mark(w, queue)
+                    self.prop_parent[w] = u
                     self.prop_child[u] = w
                     break
 
-    def _unlink(self, v):
-        w = self.witness[v]
-        if w is not None and w[0] == "prop":
-            self.prop_child[w[1]] = -1
+    def _unlink(self, w):
+        """Drop the link from w's propagation parent, if it has one."""
+        u = self.prop_parent[w]
+        if u != -1:
+            self.prop_child[u] = -1
+            self.prop_parent[w] = -1
 
     def _unmark(self, v):
         self._unlink(v)
         self.observed[v] = False
-        self.witness[v] = None
         self.observed_count -= 1
         for u in self.inst.adj[v]:
             self.unobs_count[u] += 1
 
     def _invalidate(self, seeds):
-        """Unmark the observed seeds and every observation derived through
-        an unmarked vertex; returns the unmarked vertices."""
+        """Drop each seed's propagation link and unmark it if nothing
+        dominates it, then do the same to every observation propagated
+        through an unmarked vertex; returns the unmarked vertices."""
         observed, adj = self.observed, self.inst.adj
-        prop_child = self.prop_child
-        # A propagation witness (u -> w) depends on u and on all other
-        # neighbors of u being observed, so unobserving t kills the
-        # propagation out of t and out of each of t's neighbors.
+        dom_count, prop_child = self.dom_count, self.prop_child
+        # A link u -> w depends on u and on all other neighbours of u
+        # being observed, so unmarking t kills the link out of t and out of
+        # each of t's neighbours. A vertex that stays dominated keeps
+        # everything derived through it.
         invalid = []
         for t in seeds:
-            if observed[t]:
+            self._unlink(t)
+            if observed[t] and not dom_count[t]:
                 self._unmark(t)
                 invalid.append(t)
         for t in invalid:
             for u in (t, *adj[t]):
                 w = prop_child[u]
-                if w != -1 and w != t and observed[w]:
-                    self._unmark(w)
-                    invalid.append(w)
+                if w != -1:
+                    self._unlink(w)
+                    if not dom_count[w]:
+                        self._unmark(w)
+                        invalid.append(w)
         return invalid
 
     def _repair(self, invalid, ends=()):
         """Restore the fixpoint after `_invalidate`. `ends` are vertices
         whose own rule inputs an edit changed: they may now be dominated or
         propagate."""
-        observed, adj, selected = self.observed, self.inst.adj, self.selected
-        # Re-dominate what a selected vertex still covers, then run
-        # propagation from the surviving boundary.
+        observed, adj, dom_count = self.observed, self.inst.adj, self.dom_count
         queue = deque()
-        for group in (invalid, ends):
-            for t in group:
-                if observed[t]:
-                    continue
-                for s in adj[t]:
-                    if s in selected:
-                        self._mark(t, ("dom", s), queue)
-                        break
         for t in invalid:
             for u in adj[t]:
                 if observed[u]:
                     queue.append(u)
-            if observed[t]:
-                queue.append(t)
         for t in ends:
+            if not observed[t] and dom_count[t]:
+                self._mark(t, queue)
             if observed[t]:
                 queue.append(t)
         self._propagate(queue)
@@ -232,28 +230,22 @@ class ObservationState:
     def deselect(self, v):
         """Remove v from the selection.
 
-        v and every vertex v dominated are first re-dominated by another
-        selected neighbour where they have one: they stay observed, and no
-        propagation witness names a dom-witnessed vertex, so nothing
-        derived through them changes. Only the rest are invalidated, with
-        everything derived through them, and propagation re-runs from the
-        boundary; when nothing is left to invalidate, that is skipped.
+        The vertices of N[v] that v alone dominated and that have no
+        propagation parent are invalidated, with everything derived
+        through them, and propagation re-runs from the boundary; when
+        there are none, that is skipped. The rest of N[v] stays observed
+        under its count or its link, so nothing derived through it
+        changes.
         """
         if v not in self.selected:
             raise ValueError(f"vertex {v} is not selected")
         self._no_checkpoint("deselect")
-        selected, witness, adj = self.selected, self.witness, self.inst.adj
-        selected.discard(v)
-        dominated = ("dom", v)
+        self.selected.discard(v)
+        dom_count, prop_parent = self.dom_count, self.prop_parent
         seeds = []
-        for t in (v, *adj[v]):
-            if witness[t] != (SELF if t == v else dominated):
-                continue
-            for s in adj[t]:
-                if s in selected:
-                    witness[t] = ("dom", s)
-                    break
-            else:
+        for t in (v, *self.inst.adj[v]):
+            dom_count[t] -= 1
+            if not dom_count[t] and prop_parent[t] == -1:
                 seeds.append(t)
         if seeds:
             self._repair(self._invalidate(seeds))
@@ -262,8 +254,11 @@ class ObservationState:
     def edge_added(self, u, v):
         """Report that the edge uv was added to the graph."""
         self._no_checkpoint("edge_added")
-        self.unobs_count[u] += not self.observed[v]
-        self.unobs_count[v] += not self.observed[u]
+        observed, selected = self.observed, self.selected
+        self.unobs_count[u] += not observed[v]
+        self.unobs_count[v] += not observed[u]
+        self.dom_count[u] += v in selected
+        self.dom_count[v] += u in selected
         # Propagations out of u and v counted on their old neighborhoods.
         children = (self.prop_child[u], self.prop_child[v])
         return self._edit([w for w in children if w != -1], (u, v))
@@ -271,11 +266,15 @@ class ObservationState:
     def edge_removed(self, u, v):
         """Report that the edge uv was removed from the graph."""
         self._no_checkpoint("edge_removed")
-        self.unobs_count[u] -= not self.observed[v]
-        self.unobs_count[v] -= not self.observed[u]
-        witness = self.witness
-        seeds = [t for t, s in ((u, v), (v, u))
-                 if witness[t] == ("dom", s) or witness[t] == ("prop", s)]
+        observed, selected = self.observed, self.selected
+        self.unobs_count[u] -= not observed[v]
+        self.unobs_count[v] -= not observed[u]
+        self.dom_count[u] -= v in selected
+        self.dom_count[v] -= u in selected
+        # An end loses its link if the other end propagated to it, and may
+        # have lost its last dominator if it has no link.
+        parent = self.prop_parent
+        seeds = [t for t, s in ((u, v), (v, u)) if parent[t] in (s, -1)]
         return self._edit(seeds, (u, v))
 
     def flag_cleared(self, v):
@@ -294,18 +293,16 @@ class ObservationState:
         it with every checkpoint opened after it."""
         start = self._levels[mark]
         del self._levels[mark:]
-        trail = self._trail
+        trail, dom_count, adj = self._trail, self.dom_count, self.inst.adj
         while len(trail) > start:
-            entry = trail.pop()
-            if entry.__class__ is tuple:
-                v, witness = entry
+            v = trail.pop()
+            if v < 0:
+                v = ~v
                 self.selected.discard(v)
-                if witness is not None:
-                    self.witness[v] = witness
-                    if witness[0] == "prop":
-                        self.prop_child[witness[1]] = v
+                for t in (v, *adj[v]):
+                    dom_count[t] -= 1
             else:
-                self._unmark(entry)
+                self._unmark(v)
         return self
 
     def release(self, mark):
@@ -318,8 +315,7 @@ class ObservationState:
 
     def marked_since(self, mark):
         """Vertices newly observed since checkpoint `mark` was opened."""
-        return [entry for entry in self._trail[self._levels[mark]:]
-                if entry.__class__ is not tuple]
+        return [v for v in self._trail[self._levels[mark]:] if v >= 0]
 
 
 def observe_from(inst, selected):

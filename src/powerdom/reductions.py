@@ -145,8 +145,8 @@ class _Work:
     alive vertices: `undecided_count`, `edge_count`, which counts the free
     edges, those with no pre-selected end, and `propagating_count`, so
     `measure()` costs O(1).
-    Its `n`, `adj`, `propagating` and `degree()` let an `ObservationState`
-    run on it; deleted vertices have no edges and are never selected.
+    Its `n`, `adj` and `propagating` let an `ObservationState` run on it;
+    deleted vertices have no edges and are never selected.
     `obs` is the observation state of the pre-selected set, which the
     mutations keep equal to a recomputation, and `obs_changed` collects
     the vertices whose observed flag they may have changed.
@@ -519,10 +519,7 @@ def _sites(work, rule):
 def _dom(work, state, v, w):
     """Exclude undecided w when the state, which selects v on top of the
     pre-selected set, observes N[w]."""
-    observed = state.observed
-    if work.status[w] != UND or not observed[w]:
-        return None
-    if not all(observed[t] for t in work.adj[w]):
+    if work.status[w] != UND or not state.observed[w] or state.unobs_count[w]:
         return None
     work.set_status(w, EXC)
     return ReductionEvent(RuleId.DOM, (v, w), excluded=(w,))
@@ -780,12 +777,11 @@ class _Driver:
         """
         work = self.work
         state, status, adj = work.obs, work.status, work.adj
-        observed = state.observed
+        observed, unobs_count = state.observed, state.unobs_count
         fired = False
         undecided = work.undecided()
         # Each of these fires under the first v other than itself.
-        covered = [w for w in undecided
-                   if observed[w] and all(observed[t] for t in adj[w])]
+        covered = [w for w in undecided if observed[w] and not unobs_count[w]]
         for v in undecided:
             if self._expired():
                 break

@@ -87,27 +87,32 @@ def test_observation_neighborhood():
     assert observation_neighborhood(with_x, {0}) == {0, 1, 2, 3}
 
 
-def _witness_is_forest(state):
-    # Each vertex's one propagation child is the vertex whose witness
-    # names it; checked first, so that a stale child fails here.
+def _links_are_a_forest(state):
+    # Counts match a recount; propagation parents and children mirror
+    # each other; a vertex is observed exactly when it is dominated or
+    # has a parent; every link is a valid propagation; and following
+    # parents ends at a dominated vertex.
+    inst, observed = state.inst, state.observed
+    for t in range(inst.n):
+        assert state.dom_count[t] == sum(
+            1 for s in (t, *inst.adj[t]) if s in state.selected)
     children = {(u, w) for u, w in enumerate(state.prop_child) if w != -1}
-    assert children == {(wit[1], w) for w, wit in enumerate(state.witness)
-                        if wit is not None and wit[0] == "prop"}
-    for v in range(state.inst.n):
-        if not state.observed[v]:
-            assert state.witness[v] is None
-            continue
+    assert children == {(u, w) for w, u in enumerate(state.prop_parent)
+                        if u != -1}
+    for v in range(inst.n):
+        assert observed[v] == (state.dom_count[v] > 0
+                               or state.prop_parent[v] != -1)
+    for u, w in children:
+        assert inst.propagating[u] and w in inst.adj[u]
+        assert observed[u] and all(observed[t] for t in inst.adj[u])
+    for v in range(inst.n):
         seen = set()
         cur = v
-        while True:
-            assert cur not in seen, "witness cycle"
+        while state.prop_parent[cur] != -1:
+            assert cur not in seen, "propagation cycle"
             seen.add(cur)
-            wit = state.witness[cur]
-            assert wit is not None
-            if wit == ("self",):
-                assert cur in state.selected
-                break
-            cur = wit[1]
+            cur = state.prop_parent[cur]
+        assert state.dom_count[cur] or not observed[cur]
 
 
 def _exhausted(state):
@@ -139,7 +144,8 @@ def test_incremental_matches_recompute():
             steps += 1
             ref = observe_from(inst, selected)
             assert state.observed_vertices() == ref.observed_vertices()
-            _witness_is_forest(state)
+            assert state.observed_vertices() == observed_set(inst, selected)
+            _links_are_a_forest(state)
             _exhausted(state)
     assert steps > 2000
 
@@ -158,9 +164,10 @@ def test_monotonicity():
 
 
 def _snapshot(state):
-    return (state.observed_vertices(), list(state.witness),
+    return (state.observed_vertices(), list(state.dom_count),
+            list(state.prop_parent), list(state.prop_child),
             list(state.unobs_count), state.observed_count,
-            set(state.selected), list(state.prop_child))
+            set(state.selected))
 
 
 def test_rollback_restores_the_checkpoint_exactly():
@@ -177,7 +184,9 @@ def test_rollback_restores_the_checkpoint_exactly():
                 state.deselect(v)
                 ref = observe_from(inst, state.selected)
                 assert state.observed_vertices() == ref.observed_vertices()
-                _witness_is_forest(state)
+                assert state.observed_vertices() == observed_set(
+                    inst, state.selected)
+                _links_are_a_forest(state)
             marks = []
             for _ in range(rng.randint(1, 8)):
                 roll = marks and rng.random() < 0.3
@@ -199,11 +208,13 @@ def test_rollback_restores_the_checkpoint_exactly():
                         state.deselect(next(iter(state.selected)))
                 ref = observe_from(inst, state.selected)
                 assert state.observed_vertices() == ref.observed_vertices()
+                assert state.observed_vertices() == observed_set(
+                    inst, state.selected)
             if marks:
                 state.rollback(marks[0][0])
                 assert _snapshot(state) == marks[0][1]
                 rollbacks += 1
-            _witness_is_forest(state)
+            _links_are_a_forest(state)
             _exhausted(state)
     assert rollbacks > 500
 
@@ -229,13 +240,11 @@ def test_deselect_in_a_dense_selection_matches_recompute():
                 state.select(rng.choice(free))
             ref = observe_from(inst, state.selected)
             assert state.observed == ref.observed
+            assert state.observed_vertices() == observed_set(
+                inst, state.selected)
             assert state.unobs_count == ref.unobs_count
             assert state.observed_count == ref.observed_count
-            for t, wit in enumerate(state.witness):
-                if wit is not None and wit[0] == "dom":
-                    assert wit[1] in state.selected
-                    assert wit[1] in inst.adj_sets[t]
-            _witness_is_forest(state)
+            _links_are_a_forest(state)
             if free and rng.random() < 0.3:
                 snap = _snapshot(state)
                 mark = state.checkpoint()
@@ -272,8 +281,11 @@ class _EditableGraph:
         self.adj = [set(inst.adj[v]) for v in range(inst.n)]
         self.propagating = list(inst.propagating)
 
-    def degree(self, v):
-        return len(self.adj[v])
+    def instance(self):
+        """The current graph as a PdsInstance."""
+        return PdsInstance(self.n, [(u, v) for u in range(self.n)
+                                    for v in self.adj[u] if u < v],
+                           self.propagating)
 
 
 def test_graph_edits_match_recompute():
@@ -336,12 +348,14 @@ def test_graph_edits_match_recompute():
             counts[op] += 1
             ref = observe_from(graph, state.selected)
             assert state.observed == ref.observed, op
+            assert state.observed_vertices() == observed_set(
+                graph.instance(), state.selected), op
             assert state.unobs_count == ref.unobs_count, op
             assert state.observed_count == ref.observed_count, op
             flipped = {v for v in range(inst.n)
                        if before[v] != state.observed[v]}
             assert flipped <= set(changed), op
-            _witness_is_forest(state)
+            _links_are_a_forest(state)
             _exhausted(state)
     assert min(counts.values()) > 200
 

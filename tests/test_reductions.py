@@ -619,6 +619,18 @@ def test_maintained_measure_matches_recount(small_corpus, monkeypatch):
         oracle = {to_work[v] for v in observed_set(snap, selected)}
         assert work.obs.observed_vertices() == oracle, event
         assert work.obs.observed_count == len(oracle), event
+        # Each vertex counts the selected vertices in its closed
+        # neighbourhood, and propagation parents and children mirror each
+        # other.
+        obs, chosen = work.obs, set(work.pre_selected())
+        if event.rule is RuleId.DOM:
+            chosen.add(event.site[0])
+        assert obs.dom_count == [
+            sum(1 for s in (t, *work.adj[t]) if s in chosen)
+            for t in range(work.n)], event
+        assert ({(u, w) for u, w in enumerate(obs.prop_child) if w != -1}
+                == {(u, w) for w, u in enumerate(obs.prop_parent)
+                    if u != -1}), event
         checked.append(event.rule)
 
     monkeypatch.setattr(reductions._Driver, "_record", checking_record)
