@@ -129,11 +129,16 @@ ipds_observed_set = observed_set
 oracle_ipds = oracle_pds
 
 
-def _is_fort(inst, subset):
+def is_fort(inst, vertices):
+    """Whether a vertex set is a fort: non-empty, and no propagating vertex
+    outside it has exactly one neighbour in it."""
+    fort = frozenset(vertices)
+    if not fort:
+        return False
     for v in range(inst.n):
-        if v in subset or not inst.propagating[v]:
+        if v in fort or not inst.propagating[v]:
             continue
-        if len(inst.adj_sets[v] & subset) == 1:
+        if len(inst.adj_sets[v] & fort) == 1:
             return False
     return True
 
@@ -149,6 +154,6 @@ def enumerate_minimal_forts(inst, n_max=12):
             cand = frozenset(combo)
             if any(f < cand for f in forts):
                 continue
-            if _is_fort(inst, cand):
+            if is_fort(inst, cand):
                 forts.append(cand)
     return forts

@@ -16,19 +16,6 @@ from .errors import InfeasibleInstanceError
 from .propagation import observe_from
 
 
-def is_fort(inst, vertices):
-    """Check the fort condition for a vertex set."""
-    fort = frozenset(vertices)
-    if not fort:
-        return False
-    for v in range(inst.n):
-        if v in fort or not inst.propagating[v]:
-            continue
-        if len(inst.adj_sets[v] & fort) == 1:
-            return False
-    return True
-
-
 def closed_neighborhood(inst, vertices):
     out = set(vertices)
     for v in vertices:

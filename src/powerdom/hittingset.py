@@ -1,4 +1,4 @@
-"""Minimum hitting set: exact branch and bound plus a greedy warm start.
+"""Minimum hitting set by exact branch and bound.
 
 Instances only ever grow (sets are added, never removed), so the optimum
 of an earlier instance is a valid lower bound for any later one. The
@@ -27,16 +27,15 @@ class HittingSetInstance:
     """Family of vertex sets over a universe.
 
     Sets are intersected with the universe on entry; an intersection that
-    comes up empty makes the instance infeasible and is reported when
-    solving. Duplicate sets are dropped; supersets of existing sets are
-    kept, and the exact search drops them from its kernels.
+    comes up empty cannot be hit and raises `InfeasibleInstanceError`.
+    Duplicate sets are dropped; supersets of existing sets are kept, and
+    the exact search drops them from its kernels.
     """
 
     def __init__(self, universe, sets=()):
         self.universe = frozenset(universe)
         self.sets = []
         self._seen = set()
-        self.infeasible_sets = 0
         self.add_sets(sets)
 
     def add_sets(self, new_sets):
@@ -44,8 +43,8 @@ class HittingSetInstance:
         for s in new_sets:
             cut = frozenset(s) & self.universe
             if not cut:
-                self.infeasible_sets += 1
-                continue
+                raise InfeasibleInstanceError(
+                    "a set has no element in the universe")
             if cut in self._seen:
                 continue
             self._seen.add(cut)
@@ -54,30 +53,6 @@ class HittingSetInstance:
 
     def __len__(self):
         return len(self.sets)
-
-
-def _to_masks(hs):
-    elems = sorted(hs.universe)
-    index = {v: i for i, v in enumerate(elems)}
-    masks = [sum(1 << index[v] for v in s) for s in hs.sets]
-    return elems, index, masks
-
-
-def solve_greedy(hs):
-    """Max-coverage greedy hitting set; valid but not necessarily optimal."""
-    if hs.infeasible_sets:
-        raise InfeasibleInstanceError("family contains an unhittable set")
-    chosen = set()
-    unhit = list(hs.sets)
-    while unhit:
-        counts = {}
-        for s in unhit:
-            for v in s:
-                counts[v] = counts.get(v, 0) + 1
-        best = min(counts, key=lambda v: (-counts[v], v))
-        chosen.add(best)
-        unhit = [s for s in unhit if best not in s]
-    return frozenset(chosen)
 
 
 def _bits(x):
@@ -198,11 +173,11 @@ def _branch(sets, limit, floor, deadline):
 
 
 def solve_exact(hs, lower_bound_hint=0, deadline=None):
-    """Minimum hitting set by branch and bound on kernels, starting from the
-    greedy hitting set. Each node reduces its unhit sets (see the module
-    docstring) and solves each component within the budget the others'
-    disjoint-set packing bounds leave, branching on the elements of a
-    smallest set (take vs. forbid). Ties go to the lowest id, so results
+    """Minimum hitting set by branch and bound on kernels. Each node reduces
+    its unhit sets (see the module docstring) and solves each component
+    within the budget the others' disjoint-set packing bounds leave,
+    branching on the elements of a smallest set (take vs. forbid). The
+    first dive sets the incumbent. Ties go to the lowest id, so results
     are deterministic.
 
     Returns (hitting set, size). `lower_bound_hint` may come from a
@@ -211,14 +186,10 @@ def solve_exact(hs, lower_bound_hint=0, deadline=None):
     `time.perf_counter()` value `deadline`, the next branching node raises
     `HittingSetTimeout`.
     """
-    if hs.infeasible_sets:
-        raise InfeasibleInstanceError("family contains an unhittable set")
-    elems, index, masks = _to_masks(hs)
-    greedy = solve_greedy(hs)
-    best_mask = sum(1 << index[v] for v in greedy)
-    if len(greedy) > lower_bound_hint:
-        got = _search(masks, len(greedy), lower_bound_hint, deadline)
-        if got is not None:
-            best_mask = got[0]
-    out = frozenset(elems[i] for i in range(len(elems)) if best_mask >> i & 1)
-    return out, len(out)
+    elems = sorted(hs.universe)
+    index = {v: i for i, v in enumerate(elems)}
+    masks = [sum(1 << index[v] for v in s) for s in hs.sets]
+    # Every set is non-empty, so the whole universe is a hitting set and
+    # the search, whose limit admits it, always finds one.
+    mask, size = _search(masks, len(elems) + 1, lower_bound_hint, deadline)
+    return frozenset(v for i, v in enumerate(elems) if mask >> i & 1), size

@@ -177,9 +177,6 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
         forts = find_forts(sub, hitting_set, seed=rng, deadline=deadline)
         before = len(hs)
         hs.add_sets(closed_neighborhood(sub, f) for f in forts)
-        if hs.infeasible_sets:
-            raise InfeasibleInstanceError(
-                "a fort neighborhood contains no selectable vertex")
         # A sweep the deadline cut short may find nothing new; the loop
         # then returns TimedOut.
         if len(hs) == before and not expired():
