@@ -3,17 +3,15 @@
 The pipeline reduces the instance, splits the kernel along pre-selected
 vertices, runs the implicit hitting set loop per component and merges
 the results. Lower bounds come from hitting set optima, upper bounds
-from greedy completions; the trace records both over time.
+from greedy completions; `result.bounds` records both over time.
 """
 
 from powerdom import generate_random, oracle_pds, solve
-from powerdom.solver import BoundsTrace
 
 inst = generate_random(40, 55, frac_nonprop=0.3, seed=12)
 print("instance:", inst)
 
-trace = BoundsTrace()
-result = solve(inst, seed=0, trace=trace)
+result = solve(inst, seed=0)
 print("status:", result.status)
 print("gamma_p:", result.gamma_p)
 print("fort neighborhoods:", result.fort_count,
@@ -21,8 +19,8 @@ print("fort neighborhoods:", result.fort_count,
 print("rules fired:", {k: v for k, v in result.rule_stats.items() if v})
 print("solution:", sorted(result.solution.selected))
 
-print("\nbound events (t, kind, value):")
-for t, kind, value in trace.events:
+print("\nresult.bounds (t, kind, value):")
+for t, kind, value in result.bounds:
     print(f"  {t:8.4f}s  {kind:5s} {value}")
 
 # Exactness is cheap to double-check on small instances.

@@ -25,7 +25,7 @@ from .reductions import (LOCAL_RULES, NONLOCAL_RULES, RULE_SUBSETS,
                          ReductionEvent, ReductionLog, RuleId,
                          applicable_sites, apply_rule_once, lift_solution,
                          reduce_full)
-from .solver import (BoundsTrace, INFEASIBLE, OPTIMAL, TIMED_OUT, SolveResult,
+from .solver import (INFEASIBLE, OPTIMAL, TIMED_OUT, SolveResult,
                      greedy_complete, ihs_kernel_solve, solve)
 
 __version__ = "0.1.0"

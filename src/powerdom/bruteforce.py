@@ -138,7 +138,7 @@ def is_fort(inst, vertices):
     for v in range(inst.n):
         if v in fort or not inst.propagating[v]:
             continue
-        if len(inst.adj_sets[v] & fort) == 1:
+        if sum(w in fort for w in inst.adj[v]) == 1:
             return False
     return True
 

@@ -19,7 +19,7 @@ from .hittingset import HittingSetInstance
 from .instance import generate_random, parse_instance, write_instance
 from .propagation import observation_neighborhood
 from .reductions import RULE_SUBSETS, reduce_full
-from .solver import BoundsTrace, INFEASIBLE, OPTIMAL, solve
+from .solver import INFEASIBLE, OPTIMAL, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,11 +34,13 @@ def _load_instance(path, fmt="pds"):
 
 def cmd_solve(args):
     inst = _load_instance(args.instance, args.format)
-    trace = BoundsTrace()
     result = solve(inst, reductions=args.reductions, seed=args.seed,
-                   time_limit=args.time_limit, trace=trace, jobs=args.jobs)
+                   time_limit=args.time_limit, jobs=args.jobs)
     if args.trace:
-        trace.write_csv(args.trace)
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.write("t_seconds,kind,value\n")
+            for t, kind, value in result.bounds:
+                fh.write(f"{t:.6f},{kind},{value}\n")
     payload = {
         "status": result.status,
         "gamma_p": result.gamma_p,
@@ -198,8 +200,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError,
-            GuardExceededError) as exc:
+    except (ParseError, OSError, ValueError, GuardExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleInstanceError as exc:

@@ -33,7 +33,7 @@ class PdsInstance:
     external names (e.g. grid bus ids) and are never used algorithmically.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_sets", "propagating",
+    __slots__ = ("n", "edges", "adj", "propagating",
                  "pre_selected", "excluded", "labels")
 
     def __init__(self, n, edges=(), propagating=None, pre_selected=(),
@@ -47,7 +47,6 @@ class PdsInstance:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.adj_sets = tuple(frozenset(a) for a in adj)
         if propagating is None:
             self.propagating = (True,) * self.n
         else:
@@ -74,10 +73,10 @@ class PdsInstance:
         return len(self.adj[v])
 
     def closed_neighborhood(self, v):
-        return self.adj_sets[v] | {v}
+        return frozenset((v, *self.adj[v]))
 
     def has_edge(self, u, v):
-        return v in self.adj_sets[u]
+        return v in self.adj[u]
 
     def undecided(self):
         """Vertex ids that are neither pre-selected nor excluded, ascending."""

@@ -27,44 +27,17 @@ INFEASIBLE = "Infeasible"
 TIMED_OUT = "TimedOut"
 
 
-class BoundsTrace:
-    """Timestamped lower/upper bound events; only improvements are kept."""
-
-    def __init__(self):
-        self.events = []
-        self._lower = None
-        self._upper = None
-
-    def add_lower(self, t, value):
-        if self._lower is None or value > self._lower:
-            self._lower = value
-            self.events.append((t, "lower", value))
-
-    def add_upper(self, t, value):
-        if self._upper is None or value < self._upper:
-            self._upper = value
-            self.events.append((t, "upper", value))
-
-    @property
-    def lower(self):
-        return self._lower
-
-    @property
-    def upper(self):
-        return self._upper
-
-    def write_csv(self, path):
-        """Write the events to `path`: CSV, header t_seconds,kind,value."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t_seconds,kind,value\n")
-            for t, kind, value in self.events:
-                fh.write(f"{t:.6f},{kind},{value}\n")
-
-
 @dataclass
 class SolveResult:
     """`fort_count` counts the rows of the hitting-set instances, one per
-    distinct fort neighborhood, summed over the parts."""
+    distinct fort neighborhood, summed over the parts.
+
+    `bounds` lists `(seconds since the call began, "lower" | "upper",
+    value)`, one entry per improvement of either bound; the last of each
+    kind are `lower_bound` and `upper_bound`, and an Infeasible result has
+    none. In a `--jobs` run a part's entries are timed from its submission
+    to a worker, and parts overlap, so the times need not ascend.
+    """
 
     status: str
     solution: SolutionSet | None
@@ -76,6 +49,7 @@ class SolveResult:
     wall_time: float
     rule_stats: dict = field(default_factory=dict)
     seed: int = 0
+    bounds: list = field(default_factory=list)
 
 
 def greedy_complete(inst, h=(), deadline=None):
@@ -132,17 +106,16 @@ def greedy_complete(inst, h=(), deadline=None):
     return SolutionSet(frozenset(state.selected))
 
 
-def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
-                     incumbent=None):
+def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
     """Implicit hitting set loop for one (sub)instance.
 
     Intended for kernels but correct on any instance. `deadline` is a
     `time.perf_counter()` value; once it passes, the loop returns
-    TimedOut with the best solution so far. `report(kind, value)`, with
-    kind "lower" or "upper", receives every bound the loop proves or
-    reaches, improving or not; values count the instance's pre-selected
-    vertices. `incumbent` is `greedy_complete(sub)` when the caller has
-    it already.
+    TimedOut with the best solution so far. The result's `bounds` start
+    with the pre-selected count as lower bound and the incumbent's size
+    as upper bound, then gain an entry each time `lower` rises or the
+    incumbent shrinks; values count the instance's pre-selected vertices.
+    `incumbent` is `greedy_complete(sub)` when the caller has it already.
 
     Each fort's closed neighborhood goes straight into the hitting-set
     instance, which drops repeats, so the result's `fort_count` is its
@@ -151,19 +124,22 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
     which ask nothing of the hitting set.
     """
     t0 = time.perf_counter()
-    emit = report if report is not None else (lambda kind, value: None)
+    bounds = []
+
+    def bound(kind, value):
+        bounds.append((time.perf_counter() - t0, kind, value))
 
     def result(status, solution, gamma, lower, upper, forts, solves):
-        return SolveResult(status, solution, gamma, lower, upper,
-                           forts, solves, time.perf_counter() - t0, {}, seed)
+        return SolveResult(status, solution, gamma, lower, upper, forts,
+                           solves, time.perf_counter() - t0, {}, seed, bounds)
 
     x_size = len(sub.pre_selected)
     best = (incumbent if incumbent is not None
             else greedy_complete(sub, (), deadline=deadline))
+    bound("lower", x_size)
+    bound("upper", len(best))
     if len(best) == x_size:
         # The pre-selected set alone observes everything.
-        emit("lower", x_size)
-        emit("upper", x_size)
         return result(OPTIMAL, best, x_size, x_size, x_size, 0, 0)
 
     rng = np.random.default_rng(seed)
@@ -183,7 +159,6 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
             raise AssertionError("fort generation added no new neighborhood")
 
     grow(frozenset())
-    emit("upper", len(best))
     lb_hint = 0
     solves = 0
     lower = x_size
@@ -199,21 +174,22 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, report=None,
                           len(hs), solves)
         solves += 1
         lb_hint = size
-        lower = x_size + size
-        emit("lower", lower)
+        if x_size + size > lower:
+            lower = x_size + size
+            bound("lower", lower)
         if lower > len(best):
             raise AssertionError("lower bound exceeded a feasible upper bound")
-        # The completion has size `lower` exactly when the hitting set
-        # observes the graph on its own, and is then kept even on a tie.
-        # Once `lower` ties the incumbent, no other completion is kept, so
-        # only that case is checked.
+        # Once `lower` ties the incumbent, only a completion of size
+        # `lower` would be kept, and the completion has that size exactly
+        # when the hitting set observes the graph on its own, so only that
+        # case is checked.
         if lower < len(best):
             completion = greedy_complete(sub, hit, deadline=deadline)
-            if len(completion) == lower or len(completion) < len(best):
+            if len(completion) < len(best):
                 best = completion
+                bound("upper", len(best))
         elif observe_from(sub, sub.pre_selected | hit).is_complete():
             best = SolutionSet(sub.pre_selected | hit)
-        emit("upper", len(best))
         if lower == len(best):
             # Bound sandwich: the incumbent is optimal.
             return result(OPTIMAL, best, lower, lower, lower,
@@ -226,48 +202,44 @@ def _solve_part(sub, seed, seconds_left, incumbent):
     not share the parent's origin, so the deadline is taken here."""
     deadline = (None if seconds_left is None
                 else time.perf_counter() + seconds_left)
-    events = []
-    res = ihs_kernel_solve(sub, seed=seed, deadline=deadline,
-                           report=lambda *event: events.append(event),
-                           incumbent=incumbent)
-    return res, events
+    return ihs_kernel_solve(sub, seed=seed, deadline=deadline,
+                            incumbent=incumbent)
 
 
 def _solve_parts_in_pool(tasks, jobs, deadline):
-    """`_solve_part` results for (sub, seed, incumbent) tasks run in worker
-    processes, at most `jobs` at a time, each given the seconds left when
-    it starts."""
-    results = [None] * len(tasks)
+    """`(start, result)` per (sub, seed, incumbent) task, in task order:
+    `_solve_part` run in worker processes, at most `jobs` at a time, each
+    given the seconds left at its submission, whose `perf_counter` value
+    is `start`."""
+    submitted = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        running = {}
-        for k, (sub, seed, incumbent) in enumerate(tasks):
+        running = set()
+        for sub, seed, incumbent in tasks:
             if len(running) == jobs:
-                finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    results[running.pop(future)] = future.result()
-            left = (None if deadline is None
-                    else max(0.0, deadline - time.perf_counter()))
-            running[pool.submit(_solve_part, sub, seed, left,
-                                incumbent)] = k
-        for future, k in running.items():
-            results[k] = future.result()
-    return results
+                _, running = wait(running, return_when=FIRST_COMPLETED)
+            start = time.perf_counter()
+            left = None if deadline is None else max(0.0, deadline - start)
+            future = pool.submit(_solve_part, sub, seed, left, incumbent)
+            running.add(future)
+            submitted.append((start, future))
+    return [(start, future.result()) for start, future in submitted]
 
 
-def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
-          jobs=1):
+def solve(inst, reductions="all", seed=0, time_limit=None, jobs=1):
     """Full pipeline: reduce, split, solve each part, merge, lift.
 
     `reductions` names a rule subset ('all', 'local', 'nonlocal',
     'local+dom', 'local+necn', 'none'). Deterministic for a fixed seed
     when no timeout occurs; subinstances are solved largest-first with a
     shared deadline, which also cuts the reduction short. With `jobs > 1`
-    the parts are solved in worker processes and their bound events are
-    replayed in the same order, so the trace matches a serial run.
+    the parts are solved in worker processes. Either way each part's
+    `bounds` are replayed in that order into the result's `bounds`, timed
+    from the part's start, so a parallel run records the same bound
+    values as a serial one.
     """
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit is not None else None
-    trace = trace if trace is not None else BoundsTrace()
+    bounds = []
 
     def clock():
         return time.perf_counter() - t0
@@ -276,8 +248,8 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
 
     def result(status, solution, gamma, lower, upper, forts, solves):
         return SolveResult(status, solution, gamma, lower, upper, forts,
-                           solves, time.perf_counter() - t0,
-                           stats["rule_counts"], seed)
+                           solves, clock(), stats["rule_counts"], seed,
+                           bounds)
 
     decomp = split(kernel)
     parts = [part.instance for part in decomp.parts]
@@ -294,45 +266,36 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
     part_x = [len(part.pre_selected) for part in parts]
     uppers = [len(sol) - x for sol, x in zip(solutions, part_x)]
     lowers = [min(1, extra) for extra in uppers]
-    trace.add_lower(clock(), x_size + sum(lowers))
-    trace.add_upper(clock(), x_size + sum(uppers))
-
-    def report(i):
-        def bound(kind, value):
-            extra = value - part_x[i]
-            if kind == "lower" and extra > lowers[i]:
-                lowers[i] = extra
-                trace.add_lower(clock(), x_size + sum(lowers))
-            elif kind == "upper" and extra < uppers[i]:
-                uppers[i] = extra
-                trace.add_upper(clock(), x_size + sum(uppers))
-        return bound
+    bounds.append((clock(), "lower", x_size + sum(lowers)))
+    bounds.append((clock(), "upper", x_size + sum(uppers)))
 
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(seed).spawn(max(1, len(parts)))]
     order = sorted(range(len(parts)), key=lambda i: -parts[i].n)
+    tasks = [(parts[i], seeds[i], solutions[i]) for i in order]
     if jobs > 1 and len(order) > 1:
-        outcomes = _solve_parts_in_pool(
-            [(parts[i], seeds[i], solutions[i]) for i in order], jobs,
-            deadline)
-        for i, (_res, events) in zip(order, outcomes):
-            for kind, value in events:
-                report(i)(kind, value)
-        results = [res for res, _events in outcomes]
+        outcomes = _solve_parts_in_pool(tasks, jobs, deadline)
     else:
-        results = []
-        for i in order:
-            if deadline is not None and time.perf_counter() > deadline:
+        outcomes = []
+        for sub, part_seed, incumbent in tasks:
+            start = time.perf_counter()
+            if deadline is not None and start > deadline:
                 break
-            results.append(ihs_kernel_solve(parts[i], seed=seeds[i],
-                                            deadline=deadline,
-                                            report=report(i),
-                                            incumbent=solutions[i]))
+            outcomes.append((start, ihs_kernel_solve(
+                sub, seed=part_seed, deadline=deadline, incumbent=incumbent)))
     fort_count = hs_solves = 0
-    for i, res in zip(order, results):
+    for i, (start, res) in zip(order, outcomes):
         fort_count += res.fort_count
         hs_solves += res.hitting_set_solves
         solutions[i] = res.solution
+        for t, kind, value in res.bounds:
+            extra = value - part_x[i]
+            if kind == "lower" and extra > lowers[i]:
+                lowers[i] = extra
+                bounds.append((start - t0 + t, kind, x_size + sum(lowers)))
+            elif kind == "upper" and extra < uppers[i]:
+                uppers[i] = extra
+                bounds.append((start - t0 + t, kind, x_size + sum(uppers)))
 
     lifted = lift_solution(log, merge_solutions(decomp, solutions))
     lower = x_size + sum(lowers)
@@ -342,7 +305,5 @@ def solve(inst, reductions="all", seed=0, time_limit=None, trace=None,
                       fort_count, hs_solves)
     if len(lifted) != upper:
         raise AssertionError("incumbent size differs from the upper bound")
-    trace.add_lower(clock(), upper)
-    trace.add_upper(clock(), upper)
     return result(OPTIMAL, lifted, upper, upper, upper,
                   fort_count, hs_solves)

@@ -28,7 +28,6 @@ from powerdom.forts import closed_neighborhood
 from powerdom.hardness import eval_circuit
 from powerdom.instance import generate_random
 from powerdom.propagation import observe_from
-from powerdom.solver import BoundsTrace
 
 from conftest import (disjoint_stars, oracle_gamma, random_circuit,
                       random_instance, random_ipds_instance,
@@ -338,21 +337,18 @@ def test_criterion_9_bounds_traces(corpus):
     for idx, (inst, gamma) in enumerate(corpus[:300]):
         if gamma is None:
             continue
-        trace = BoundsTrace()
-        res = solve(inst, trace=trace, seed=idx)
+        res = solve(inst, seed=idx)
         assert res.gamma_p == gamma
-        lowers = [v for _, k, v in trace.events if k == "lower"]
-        uppers = [v for _, k, v in trace.events if k == "upper"]
+        lowers = [v for _, k, v in res.bounds if k == "lower"]
+        uppers = [v for _, k, v in res.bounds if k == "upper"]
         assert all(v <= gamma for v in lowers)
         assert all(v >= gamma for v in uppers)
         checked += 1
 
     stars = disjoint_stars(3)
-    events = []
-    res = ihs_kernel_solve(stars, seed=0,
-                           report=lambda *event: events.append(event))
+    res = ihs_kernel_solve(stars, seed=0)
     assert res.gamma_p == 3
-    lowers = [v for k, v in events if k == "lower"]
+    lowers = [v for _, k, v in res.bounds if k == "lower"]
     jump = max(b - a for a, b in zip([0] + lowers, lowers))
     assert jump >= 2
     print(f"\nACCEPTANCE 9 (bounds traces): PASS - {checked} sound traces; "

@@ -48,6 +48,22 @@ def test_solve_writes_trace(p3_file, tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0] == "t_seconds,kind,value"
     assert len(lines) > 1
+    for line in lines[1:]:
+        t, kind, value = line.split(",")
+        float(t)
+        assert kind in ("lower", "upper")
+        int(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{dir}"],
+    ["reduce", "{file}", "-o", "{dir}"],
+    ["solve", "{file}", "--trace", "{dir}"],
+])
+def test_os_error_on_a_path_exit_code(argv, p3_file, tmp_path, capsys):
+    args = [a.format(dir=tmp_path, file=p3_file) for a in argv]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):

@@ -9,7 +9,6 @@ from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.hittingset import HittingSetTimeout
 from powerdom.propagation import observe_from
-from powerdom.solver import BoundsTrace
 
 from conftest import (cycle_graph, disjoint_stars, grid_graph,
                       gridlike_graph, oracle_gamma, path_graph,
@@ -175,30 +174,36 @@ def test_trace_soundness():
         gamma = oracle_gamma(inst)
         if gamma is None:
             continue
-        trace = BoundsTrace()
-        res = solve(inst, trace=trace, seed=seed)
+        res = solve(inst, seed=seed)
         assert res.gamma_p == gamma
-        lowers = [v for _, k, v in trace.events if k == "lower"]
-        uppers = [v for _, k, v in trace.events if k == "upper"]
+        lowers = [v for _, k, v in res.bounds if k == "lower"]
+        uppers = [v for _, k, v in res.bounds if k == "upper"]
         assert all(v <= gamma for v in lowers)
         assert all(v >= gamma for v in uppers)
         assert lowers == sorted(lowers)
         assert uppers == sorted(uppers, reverse=True)
-        assert trace.lower <= trace.upper
+        assert lowers[-1] == uppers[-1] == gamma
 
 
-def test_trace_csv_format(tmp_path):
-    trace = BoundsTrace()
-    solve(disjoint_stars(3), trace=trace)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "t_seconds,kind,value"
-    for line in lines[1:]:
-        t, kind, value = line.split(",")
-        float(t)
-        assert kind in ("lower", "upper")
-        int(value)
+def _last_bounds(res):
+    last = {kind: value for _, kind, value in res.bounds}
+    return last["lower"], last["upper"]
+
+
+def test_bounds_end_at_the_result_bounds():
+    # The grid-like graph splits into twelve parts, which the parallel run
+    # solves in worker processes.
+    optimal = solve(gridlike_graph(300, 2), seed=3)
+    timed_out = solve(grid_graph(12), reductions="none", time_limit=0.3)
+    parallel = solve(gridlike_graph(300, 2), seed=3, jobs=2)
+    assert optimal.status == OPTIMAL and timed_out.status == TIMED_OUT
+    for res in (optimal, timed_out, parallel):
+        assert _last_bounds(res) == (res.lower_bound, res.upper_bound)
+    for res in (optimal, timed_out):
+        times = [t for t, _, _ in res.bounds]
+        assert times == sorted(times)
+        assert 0 <= times[0] and times[-1] <= res.wall_time
+    assert solve(PdsInstance(1, excluded=[0])).bounds == []
 
 
 def test_time_limit_times_out():
@@ -280,9 +285,8 @@ def test_jobs_parallel_agrees():
     inst = gridlike_graph(300, 2)
     traces = []
     for jobs in (1, 2):
-        trace = BoundsTrace()
-        solve(inst, seed=3, jobs=jobs, trace=trace)
-        traces.append([(kind, value) for _, kind, value in trace.events])
+        res = solve(inst, seed=3, jobs=jobs)
+        traces.append([(kind, value) for _, kind, value in res.bounds])
     assert traces[0] == traces[1]
 
 
