@@ -11,7 +11,7 @@ from powerdom import (HittingSetInstance, PdsInstance, build_fort_ilp,
                       check_model_by_enumeration, find_forts, oracle_pds,
                       parse_lp, write_lp)
 from powerdom.forts import closed_neighborhood
-from powerdom.propagation import observation_neighborhood
+from powerdom.propagation import observe_from
 
 inst = PdsInstance(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)],
                    propagating=[True, True, False, True, True])
@@ -34,7 +34,8 @@ hs = HittingSetInstance(inst.undecided(),
 print("\nhitting set ILP over", len(hs), "fort neighborhoods:")
 print(write_lp(build_hitting_set_ilp(hs)))
 
-observed = observation_neighborhood(inst, ())
+# The fort model needs what the pre-selected set alone observes.
+observed = observe_from(inst, inst.pre_selected).observed_vertices()
 fort_model = build_fort_ilp(inst, observed)
 value, assignment = check_model_by_enumeration(fort_model)
 members = sorted(v for v in range(inst.n) if assignment[f"x_{v}"] == 1)

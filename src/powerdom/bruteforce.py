@@ -123,12 +123,6 @@ def oracle_pds(inst, k_max=None, max_undecided=25):
         "no feasible solution" + (f" of size <= {k_max}" if k_max is not None else ""))
 
 
-# Booster edges and implication arcs need no second oracle; the hardness
-# chain keeps its names for the same two functions.
-ipds_observed_set = observed_set
-oracle_ipds = oracle_pds
-
-
 def is_fort(inst, vertices):
     """Whether a vertex set is a fort: non-empty, and no propagating vertex
     outside it has exactly one neighbour in it."""

@@ -7,6 +7,7 @@ Exit codes: 0 solved/ok, 1 usage or input error, 2 infeasible instance,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -14,10 +15,10 @@ from . import milp as milp_mod
 from .bruteforce import oracle_pds
 from .errors import GuardExceededError, InfeasibleInstanceError, ParseError
 from .forts import closed_neighborhood, find_forts
-from .hardness import full_chain, parse_circuit
+from .hardness import full_chain_detailed, parse_circuit
 from .hittingset import HittingSetInstance
 from .instance import generate_random, parse_instance, write_instance
-from .propagation import observation_neighborhood
+from .propagation import observe_from
 from .reductions import RULE_SUBSETS, reduce_full
 from .solver import INFEASIBLE, OPTIMAL, solve
 
@@ -34,13 +35,15 @@ def _load_instance(path, fmt="pds"):
 
 def cmd_solve(args):
     inst = _load_instance(args.instance, args.format)
-    result = solve(inst, reductions=args.reductions, seed=args.seed,
-                   time_limit=args.time_limit, jobs=args.jobs)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("t_seconds,kind,value\n")
+    # Opened first, so an unwritable path fails before the solve.
+    with (open(args.trace, "w", encoding="utf-8") if args.trace
+          else contextlib.nullcontext()) as trace:
+        result = solve(inst, reductions=args.reductions, seed=args.seed,
+                       time_limit=args.time_limit, jobs=args.jobs)
+        if trace:
+            trace.write("t_seconds,kind,value\n")
             for t, kind, value in result.bounds:
-                fh.write(f"{t:.6f},{kind},{value}\n")
+                trace.write(f"{t:.6f},{kind},{value}\n")
     payload = {
         "status": result.status,
         "gamma_p": result.gamma_p,
@@ -99,7 +102,7 @@ def cmd_export_milp(args):
     if args.model == "pds":
         model = milp_mod.build_pds_milp(inst)
     elif args.model == "fort":
-        observed = observation_neighborhood(inst)
+        observed = observe_from(inst, inst.pre_selected).observed_vertices()
         model = milp_mod.build_fort_ilp(inst, observed)
     else:
         forts = find_forts(inst, frozenset(), seed=args.seed)
@@ -116,11 +119,12 @@ def cmd_export_milp(args):
 def cmd_transform_circuit(args):
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = parse_circuit(fh.read())
-    inst, shift = full_chain(circuit)
+    chain = full_chain_detailed(circuit)
+    inst = chain.instance
     out = args.output or f"{args.circuit}.pds"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(write_instance(inst))
-    print(json.dumps({"output": out, "parameter_shift": shift,
+    print(json.dumps({"output": out, "parameter_shift": chain.shift,
                       "vertices": inst.n, "edges": inst.m}))
     return EXIT_OK
 

@@ -23,34 +23,6 @@ def closed_neighborhood(inst, vertices):
     return frozenset(out)
 
 
-def fort_from_candidate(inst, selected):
-    """The unobserved remainder of a candidate selection, or None.
-
-    Whatever remains unobserved after exhausting the observation rules is
-    a fort: an observed propagating vertex with exactly one unobserved
-    neighbor would contradict exhaustiveness.
-    """
-    state = observe_from(inst, selected)
-    if state.is_complete():
-        return None
-    return state.unobserved_vertices()
-
-
-def minimize_fort(inst, fort, pool, selected=()):
-    """Shrink a fort by re-selecting pool vertices that keep it non-empty.
-
-    Walks the pool in ascending id order, single pass. Each re-selection
-    that leaves the unobserved set non-empty is kept, so the result is the
-    unobserved set of an enlarged selection and therefore still a fort.
-    `selected` is the candidate selection that generated `fort`.
-    """
-    if not pool:
-        return frozenset(fort)
-    state = observe_from(inst, selected)
-    _reselect(state, pool)
-    return state.unobserved_vertices()
-
-
 def _reselect(state, pool, deadline=None):
     """Select each unselected pool vertex in ascending id order unless that
     completes the state, stopping once the deadline has passed. A select

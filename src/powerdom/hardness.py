@@ -439,7 +439,11 @@ class ChainResult:
 
 
 def full_chain_detailed(circuit):
-    """Run all four steps, keeping per-stage provenance."""
+    """Run all four steps, keeping per-stage provenance.
+
+    For a circuit with minimum satisfying weight w, the resulting
+    all-propagating unannotated instance has optimum w + shift.
+    """
     stages = [wmcs_to_ipds_ext(circuit)]
     stages.append(ipds_ext_to_ipds(stages[-1].output))
     stages.append(eliminate_implication_arcs(stages[-1].output))
@@ -453,12 +457,3 @@ def full_chain_detailed(circuit):
     assert not out.pre_selected and not out.excluded
     return ChainResult(circuit, out, sum(t.shift for t in stages), stages)
 
-
-def full_chain(circuit):
-    """Compose all four steps; returns (plain instance, total shift).
-
-    For a circuit with minimum satisfying weight w, the resulting
-    all-propagating unannotated instance has optimum w + shift.
-    """
-    chain = full_chain_detailed(circuit)
-    return chain.instance, chain.shift

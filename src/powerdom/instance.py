@@ -72,9 +72,6 @@ class PdsInstance:
     def degree(self, v):
         return len(self.adj[v])
 
-    def closed_neighborhood(self, v):
-        return frozenset((v, *self.adj[v]))
-
     def has_edge(self, u, v):
         return v in self.adj[u]
 

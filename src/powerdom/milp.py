@@ -76,7 +76,7 @@ def build_pds_milp(inst):
             model.add_var(f"p_{u}_{w}", "binary")
 
     for v in range(n):
-        for t in sorted(inst.closed_neighborhood(v)):
+        for t in sorted((v, *inst.adj[v])):
             model.add_constraint(
                 f"dom_{v}_{t}",
                 [(f"s_{v}", 1), (f"x_{t}", big_m - 1)], "<=", big_m)
@@ -96,7 +96,7 @@ def build_pds_milp(inst):
                 [(f"p_{v}_{w}", 1) for w in inst.adj[v]], "<=", 1)
     for v in range(n):
         for w in inst.adj[v]:
-            for t in sorted(inst.closed_neighborhood(w) - {v}):
+            for t in sorted({w, *inst.adj[w]} - {v}):
                 model.add_constraint(
                     f"step_{v}_{w}_{t}",
                     [(f"s_{v}", 1), (f"s_{t}", -1), (f"p_{w}_{v}", -big_m)],
@@ -154,7 +154,7 @@ def build_fort_ilp(inst, observed):
             coeffs.append((f"x_{u}", -1))
             model.add_constraint(f"closure_{v}_{u}", coeffs, ">=", 0)
     for v in range(n):
-        for w in sorted(inst.closed_neighborhood(v)):
+        for w in sorted((v, *inst.adj[v])):
             model.add_constraint(f"link_{v}_{w}",
                                  [(f"y_{v}", 1), (f"x_{w}", -1)], ">=", 0)
     return model

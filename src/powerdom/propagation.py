@@ -327,8 +327,3 @@ def observe_from(inst, selected):
     state._propagate(queue)
     return state
 
-
-def observation_neighborhood(inst, vertices=()):
-    """Vertices observed when selecting `vertices` on top of the
-    instance's pre-selected set."""
-    return observe_from(inst, inst.pre_selected | set(vertices)).observed_vertices()

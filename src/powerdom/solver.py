@@ -210,7 +210,8 @@ def _solve_parts_in_pool(tasks, jobs, deadline):
     """`(start, result)` per (sub, seed, incumbent) task, in task order:
     `_solve_part` run in worker processes, at most `jobs` at a time, each
     given the seconds left at its submission, whose `perf_counter` value
-    is `start`."""
+    is `start`. As in the serial loop, no task is submitted once the
+    deadline has passed, so the list may stop short."""
     submitted = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         running = set()
@@ -218,7 +219,9 @@ def _solve_parts_in_pool(tasks, jobs, deadline):
             if len(running) == jobs:
                 _, running = wait(running, return_when=FIRST_COMPLETED)
             start = time.perf_counter()
-            left = None if deadline is None else max(0.0, deadline - start)
+            if deadline is not None and start > deadline:
+                break
+            left = None if deadline is None else deadline - start
             future = pool.submit(_solve_part, sub, seed, left, incumbent)
             running.add(future)
             submitted.append((start, future))

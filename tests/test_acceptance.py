@@ -16,15 +16,14 @@ from powerdom import (OPTIMAL, HittingSetInstance, RuleId,
                       apply_rule_once, build_pds_milp,
                       check_model_by_enumeration, eliminate_booster_edges,
                       eliminate_implication_arcs, enumerate_minimal_forts,
-                      find_forts, fort_from_candidate, full_chain_detailed,
-                      ihs_kernel_solve, ipds_ext_to_ipds,
-                      is_fort, lift_solution, minimize_fort, oracle_ipds,
-                      oracle_pds, parse_circuit, parse_instance, pds_to_simple,
+                      find_forts, full_chain_detailed, ihs_kernel_solve,
+                      ipds_ext_to_ipds, is_fort, lift_solution, oracle_pds,
+                      parse_circuit, parse_instance, pds_to_simple,
                       reduce_full, solve, solve_exact, wmcs_min_weight,
                       wmcs_to_ipds_ext)
 from powerdom.bruteforce import is_power_dominating
 from powerdom.errors import InfeasibleInstanceError
-from powerdom.forts import closed_neighborhood
+from powerdom.forts import _reselect, closed_neighborhood
 from powerdom.hardness import eval_circuit
 from powerdom.instance import generate_random
 from powerdom.propagation import observe_from
@@ -110,14 +109,15 @@ def test_criterion_3_fort_suite():
         for fort in forts:
             assert is_fort(inst, fort)
             emitted += 1
-        cand = fort_from_candidate(inst, hitting | inst.pre_selected)
-        if cand is not None:
-            assert is_fort(inst, cand)
+        # The unobserved remainder of the candidate is a fort, and so is
+        # what is left after fort minimisation re-selects a pool.
+        state = observe_from(inst, hitting | inst.pre_selected)
+        if not state.is_complete():
+            assert is_fort(inst, state.unobserved_vertices())
             emitted += 1
             pool = [v for v in inst.undecided() if v not in hitting][:3]
-            shrunk = minimize_fort(inst, cand, pool,
-                                   selected=hitting | inst.pre_selected)
-            assert is_fort(inst, shrunk)
+            _reselect(state, pool)
+            assert is_fort(inst, state.unobserved_vertices())
             emitted += 1
     assert emitted > 400
 
@@ -197,7 +197,7 @@ def test_criterion_5_hitting_set():
 
 def _ipds_gamma(inst, **kw):
     try:
-        return oracle_ipds(inst, **kw)[0]
+        return oracle_pds(inst, **kw)[0]
     except InfeasibleInstanceError:
         return None
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from powerdom import (PdsInstance, enumerate_minimal_forts, is_power_dominating,
-                      oracle_ipds, oracle_pds)
+                      oracle_pds)
 from powerdom.bruteforce import observed_set
 from powerdom.errors import GuardExceededError, InfeasibleInstanceError
 from powerdom.hardness import IpdsInstance
@@ -120,21 +120,32 @@ def test_closure_matches_one_firing_at_a_time():
 
 def test_oracle_ipds_arc_directions():
     two = IpdsInstance(2, implication_arcs=[(0, 1)])
-    assert oracle_ipds(two)[0] == 1
+    assert oracle_pds(two)[0] == 1
     # reversed arc: selecting the source still observes both
     rev = IpdsInstance(2, implication_arcs=[(1, 0)])
-    gamma, witness = oracle_ipds(rev)
+    gamma, witness = oracle_pds(rev)
     assert gamma == 1 and witness.selected == {1}
 
 
 def test_oracle_ipds_booster():
     inst = IpdsInstance(2, edges=[(0, 1)], pre_selected=[0],
                         booster_edges=[(0, 1)])
-    assert oracle_ipds(inst)[0] == 1  # X alone suffices
+    assert oracle_pds(inst)[0] == 1  # X alone suffices
 
 
 def test_oracle_ipds_plain_instance():
-    assert oracle_ipds(path_graph(5))[0] == oracle_pds(path_graph(5))[0]
+    # With no booster edges or arcs, an extension instance is a plain one.
+    def optimum(inst):
+        try:
+            return oracle_pds(inst)
+        except InfeasibleInstanceError:
+            return None
+
+    for seed in range(30):
+        inst = random_instance(seed, n_max=8)
+        ext = IpdsInstance(inst.n, inst.edges, inst.propagating,
+                           inst.pre_selected, inst.excluded)
+        assert optimum(ext) == optimum(inst)
 
 
 def test_minimal_forts_p3():

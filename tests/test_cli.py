@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from powerdom import cli
 from powerdom.bruteforce import enumerate_minimal_forts
 from powerdom.cli import main
 from powerdom.forts import closed_neighborhood
@@ -60,7 +61,13 @@ def test_solve_writes_trace(p3_file, tmp_path, capsys):
     ["reduce", "{file}", "-o", "{dir}"],
     ["solve", "{file}", "--trace", "{dir}"],
 ])
-def test_os_error_on_a_path_exit_code(argv, p3_file, tmp_path, capsys):
+def test_os_error_on_a_path_exit_code(argv, p3_file, tmp_path, monkeypatch,
+                                      capsys):
+    # Each bad path fails before the solve, so no finished result is lost.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the path failed")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
     args = [a.format(dir=tmp_path, file=p3_file) for a in argv]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")

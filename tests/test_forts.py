@@ -3,10 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from powerdom import (enumerate_minimal_forts, find_forts, fort_from_candidate,
-                      is_fort, minimize_fort, oracle_pds)
+from powerdom import enumerate_minimal_forts, find_forts, is_fort, oracle_pds
 from powerdom.errors import InfeasibleInstanceError
-from powerdom.forts import closed_neighborhood
+from powerdom.forts import _reselect, closed_neighborhood
 from powerdom.instance import PdsInstance
 from powerdom.propagation import ObservationState, observe_from
 from powerdom.solver import greedy_complete
@@ -21,35 +20,43 @@ def test_is_fort_examples():
     assert not is_fort(p3, set())
 
 
+def minimized(inst, pool, selected=()):
+    """The unobserved set left after fort minimisation re-selects `pool`
+    on top of `selected`, as `find_forts` does."""
+    state = observe_from(inst, selected)
+    _reselect(state, pool)
+    return state.unobserved_vertices()
+
+
 def test_fort_from_candidate():
+    # The unobserved remainder of a candidate selection is a fort.
     p3 = path_graph(3)
-    assert fort_from_candidate(p3, {0}) is None  # {0} already solves P3
-    assert fort_from_candidate(p3, ()) == {0, 1, 2}
+    assert observe_from(p3, {0}).is_complete()  # {0} already solves P3
+    assert observe_from(p3, ()).unobserved_vertices() == {0, 1, 2}
     star = star_graph(3)
-    fort = fort_from_candidate(star, {1})
+    fort = observe_from(star, {1}).unobserved_vertices()
     assert fort == {2, 3} and is_fort(star, fort)
 
 
 def test_minimize_fort_p3_irreducible():
     # every single re-selection empties the fort, so it stays whole
     p3 = path_graph(3)
-    assert minimize_fort(p3, {0, 1, 2}, {0, 1, 2}) == {0, 1, 2}
+    assert minimized(p3, {0, 1, 2}) == {0, 1, 2}
 
 
 def test_minimize_fort_pool_empty():
     p3 = path_graph(3)
-    assert minimize_fort(p3, {0, 1, 2}, set()) == {0, 1, 2}
+    assert minimized(p3, set()) == {0, 1, 2}
 
 
 def test_minimize_fort_shrinks():
     star = star_graph(3)
     # selection {1} leaves {2,3} unobserved; no pool vertex can be
     # re-selected without emptying it
-    fort = minimize_fort(star, {2, 3}, {2}, selected={1})
-    assert fort == {2, 3}
+    assert minimized(star, {2}, selected={1}) == {2, 3}
     # two disjoint paths: re-selecting into one leaves the other as the fort
     two_p3 = PdsInstance(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    fort = minimize_fort(two_p3, frozenset(range(6)), {0}, selected=())
+    fort = minimized(two_p3, {0})
     assert fort == {3, 4, 5}
     assert is_fort(two_p3, fort)
 

@@ -3,11 +3,10 @@ from itertools import combinations
 import pytest
 
 from powerdom import (eliminate_booster_edges, eliminate_implication_arcs,
-                      eval_circuit, full_chain, full_chain_detailed,
-                      ipds_ext_to_ipds, oracle_ipds, oracle_pds, parse_circuit,
-                      pds_to_simple, wmcs_min_weight, wmcs_to_ipds_ext,
-                      write_circuit)
-from powerdom.bruteforce import is_power_dominating
+                      eval_circuit, full_chain_detailed, ipds_ext_to_ipds,
+                      oracle_pds, parse_circuit, pds_to_simple,
+                      wmcs_min_weight, wmcs_to_ipds_ext, write_circuit)
+from powerdom.bruteforce import is_power_dominating, observed_set
 from powerdom.errors import InfeasibleInstanceError, ParseError
 from powerdom.hardness import Circuit, IpdsInstance
 from powerdom.instance import generate_random
@@ -21,7 +20,7 @@ MIX3 = "in x1\nin x2\nin x3\nand g1 x1 x2\nor g2 g1 x3\nout o g2\n"
 
 def ipds_gamma(inst, **kw):
     try:
-        return oracle_ipds(inst, **kw)[0]
+        return oracle_pds(inst, **kw)[0]
     except InfeasibleInstanceError:
         return None
 
@@ -109,13 +108,12 @@ def test_ipds_ext_to_ipds_leaves_force_selection():
     tr = ipds_ext_to_ipds(inst)
     out = tr.output
     assert out.n == 4 and not out.pre_selected
-    gamma, witness = oracle_ipds(out)
+    gamma, witness = oracle_pds(out)
     assert gamma == ipds_gamma(inst) == 1
     assert 0 in witness.selected
     # every optimum contains the formerly pre-selected vertex
-    from powerdom.bruteforce import ipds_observed_set
     for v in range(1, out.n):
-        assert len(ipds_observed_set(out, {v})) < out.n
+        assert len(observed_set(out, {v})) < out.n
 
 
 def test_ipds_ext_to_ipds_copies():
@@ -235,7 +233,8 @@ def test_full_chain_small_circuits():
 
 
 def test_full_chain_output_is_plain():
-    inst, shift = full_chain(parse_circuit(MIX3))
+    chain = full_chain_detailed(parse_circuit(MIX3))
+    inst, shift = chain.instance, chain.shift
     assert all(inst.propagating)
     assert not inst.pre_selected and not inst.excluded
     assert shift == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from powerdom import PdsInstance, observation_neighborhood, observe_from
+from powerdom import PdsInstance, observe_from
 from powerdom.bruteforce import observed_set
 
 from conftest import cycle_graph, path_graph, random_instance, star_graph
@@ -80,11 +80,16 @@ def test_deselect_star_center():
 
 
 def test_observation_neighborhood():
-    p4 = path_graph(4)
-    assert observation_neighborhood(p4, ()) == frozenset()
-    assert observation_neighborhood(star_graph(3), {0}) == {0, 1, 2, 3}
+    # The observation neighbourhood of S is the closure of X and S.
+    def neighborhood(inst, vertices):
+        return observe_from(inst, inst.pre_selected | set(vertices)) \
+            .observed_vertices()
+
+    assert neighborhood(path_graph(4), ()) == frozenset()
+    assert neighborhood(star_graph(3), {0}) == {0, 1, 2, 3}
     with_x = path_graph(4, pre_selected=[3])
-    assert observation_neighborhood(with_x, {0}) == {0, 1, 2, 3}
+    assert neighborhood(with_x, ()) == {0, 1, 2, 3}  # X alone observes P4
+    assert neighborhood(with_x, {0}) == {0, 1, 2, 3}
 
 
 def _links_are_a_forest(state):

@@ -1,5 +1,6 @@
 import random
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -303,6 +304,40 @@ def test_jobs_time_limit_bounds_the_workers():
     assert wall <= limit + 1.0
     assert len(observed_set(inst, res.solution.selected)) == inst.n
     assert res.lower_bound <= len(res.solution) == res.upper_bound
+
+
+def test_pool_submits_nothing_past_the_deadline(monkeypatch):
+    # A part started past the deadline would return only its starting
+    # bounds, so the pool, like the serial loop, does not start it.
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
+    two_stars = disjoint_stars(2)
+    res = solve(two_stars, jobs=2, time_limit=-1)
+    assert submitted == []
+    assert (res.status, res.gamma_p) == (OPTIMAL, 2)
+    assert res.solution == solve(two_stars).solution
+    # Before the deadline, every part is submitted with the time left.
+    res = solve(two_stars, reductions="none", jobs=2, time_limit=60)
+    assert len(submitted) == 2
+    assert all(0 < left <= 60 for _, _, left, _ in submitted)
+    assert (res.status, res.gamma_p) == (OPTIMAL, 2)
 
 
 def test_time_limit_bounds_the_reduction():
