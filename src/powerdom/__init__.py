@@ -17,8 +17,7 @@ from .hittingset import HittingSetInstance, solve_exact
 from .instance import (PdsInstance, SolutionSet, generate_random,
                        parse_instance, write_instance)
 from .milp import (MilpModel, build_fort_ilp, build_hitting_set_ilp,
-                   build_pds_milp, check_model_by_enumeration, parse_lp,
-                   write_lp)
+                   build_pds_milp, parse_lp, write_lp)
 from .propagation import ObservationState, observe_from
 from .reductions import (LOCAL_RULES, NONLOCAL_RULES, RULE_SUBSETS,
                          ReductionEvent, ReductionLog, RuleId,

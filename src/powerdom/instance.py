@@ -69,12 +69,6 @@ class PdsInstance:
     def m(self):
         return len(self.edges)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
-    def has_edge(self, u, v):
-        return v in self.adj[u]
-
     def undecided(self):
         """Vertex ids that are neither pre-selected nor excluded, ascending."""
         decided = self.pre_selected | self.excluded

@@ -1,4 +1,4 @@
-"""Integer-program exports and a solver-free enumeration checker.
+"""Integer-program exports and a reader for the LP text they are written as.
 
 Three models are emitted in CPLEX-LP syntax: the full power-domination
 MILP (binary selection x_v, continuous observation steps s_v in [1, n],
@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import GuardExceededError, InfeasibleInstanceError, ParseError
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -280,148 +280,3 @@ def parse_lp(text):
                 raise ParseError(f"constraint uses undeclared variable {name}")
         model.constraints.append(c)
     return model
-
-
-# --- enumeration checking ---------------------------------------------------
-
-
-def _fixed_values(model):
-    fixed = {}
-    for c in model.constraints:
-        if c.sense == "=" and len(c.coeffs) == 1:
-            name, coef = c.coeffs[0]
-            fixed[name] = c.rhs / coef
-    return fixed
-
-
-def _check_assignment(model, assignment):
-    for c in model.constraints:
-        lhs = sum(coef * assignment[name] for name, coef in c.coeffs)
-        if c.sense == "<=" and lhs > c.rhs + 1e-9:
-            return False
-        if c.sense == ">=" and lhs < c.rhs - 1e-9:
-            return False
-        if c.sense == "=" and abs(lhs - c.rhs) > 1e-9:
-            return False
-    for v in model.variables.values():
-        if v.kind == "continuous":
-            x = assignment[v.name]
-            if x < v.lb - 1e-9 or x > v.ub + 1e-9:
-                return False
-    return True
-
-
-def _objective_value(model, assignment):
-    return sum(coef * assignment[name] for name, coef in model.objective)
-
-
-def check_model_by_enumeration(model, guard=20):
-    """Exact optimum of an emitted model without an external solver.
-
-    All-binary models are enumerated directly over their unfixed
-    variables. For the power-domination MILP the binary x variables are
-    enumerated and the continuous steps are completed constructively:
-    arcs become available exactly when all other neighbors of the source
-    already carry a step value, the new value is the longest-chain length
-    plus one, and the full assignment is then verified against every
-    constraint row. Returns (optimum, assignment).
-    """
-    cont = [v for v in model.variables.values() if v.kind == "continuous"]
-    if cont:
-        return _check_pds_model(model, guard)
-    fixed = _fixed_values(model)
-    free = [v.name for v in model.variables.values() if v.name not in fixed]
-    if len(free) > guard:
-        raise GuardExceededError(
-            f"{len(free)} free binaries exceed guard {guard}")
-    best = None
-    best_assignment = None
-    for mask in range(1 << len(free)):
-        assignment = dict(fixed)
-        for i, name in enumerate(free):
-            assignment[name] = float(mask >> i & 1)
-        if not _check_assignment(model, assignment):
-            continue
-        value = _objective_value(model, assignment)
-        if best is None or value < best:
-            best = value
-            best_assignment = assignment
-    if best is None:
-        raise InfeasibleInstanceError("model admits no feasible assignment")
-    return best, best_assignment
-
-
-def _check_pds_model(model, guard):
-    fixed = _fixed_values(model)
-    x_vars = sorted((v.name for v in model.variables.values()
-                     if v.name.startswith("x_")),
-                    key=lambda s: int(s.split("_")[1]))
-    s_ub = {v.name: v.ub for v in model.variables.values()
-            if v.kind == "continuous"}
-    adjacency = {}
-    for c in model.constraints:
-        if c.name.startswith("dom_"):
-            _, v, t = c.name.split("_")
-            v, t = int(v), int(t)
-            adjacency.setdefault(v, set())
-            if t != v:
-                adjacency[v].add(t)
-    arcs = {tuple(int(t) for t in name.split("_")[1:])
-            for name in model.variables if name.startswith("p_")}
-    blocked = {name for name, val in fixed.items()
-               if name.startswith("p_") and val == 0}
-    free = [name for name in x_vars if name not in fixed]
-    if len(free) > guard:
-        raise GuardExceededError(
-            f"{len(free)} free selection binaries exceed guard {guard}")
-
-    vertices = sorted(adjacency)
-    best = None
-    best_assignment = None
-    for mask in range(1 << len(free)):
-        x_val = {name: fixed.get(name, 0.0) for name in x_vars}
-        for i, name in enumerate(free):
-            x_val[name] = float(mask >> i & 1)
-        selected = {v for v in vertices if x_val[f"x_{v}"] == 1}
-        s_val = {}
-        for v in vertices:
-            if v in selected or adjacency[v] & selected:
-                s_val[v] = 1.0
-        p_val = {f"p_{a}_{b}": 0.0 for a, b in arcs}
-        out_used = set()
-        progress = True
-        while progress:
-            progress = False
-            for w in vertices:
-                if w in out_used or w not in s_val:
-                    continue
-                pend = [u for u in adjacency[w] if u not in s_val]
-                if len(pend) != 1:
-                    continue
-                v = pend[0]
-                name = f"p_{w}_{v}"
-                if name not in p_val or name in blocked:
-                    continue
-                step = 1.0 + max(s_val[t] for t in adjacency[w] | {w}
-                                 if t != v)
-                if step > s_ub.get(f"s_{v}", step):
-                    continue
-                s_val[v] = step
-                p_val[name] = 1.0
-                out_used.add(w)
-                progress = True
-        if len(s_val) < len(vertices):
-            continue
-        assignment = dict(x_val)
-        assignment.update(p_val)
-        for v in vertices:
-            assignment[f"s_{v}"] = s_val[v]
-        if not _check_assignment(model, assignment):
-            continue
-        value = _objective_value(model, assignment)
-        if best is None or value < best:
-            best = value
-            best_assignment = assignment
-    if best is None:
-        raise InfeasibleInstanceError("model admits no feasible assignment")
-    return best, best_assignment

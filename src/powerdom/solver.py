@@ -213,6 +213,8 @@ def _solve_parts_in_pool(tasks, jobs, deadline):
     is `start`. As in the serial loop, no task is submitted once the
     deadline has passed, so the list may stop short."""
     submitted = []
+    # Under the fork start method the first submit starts every worker.
+    jobs = min(jobs, len(tasks))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         running = set()
         for sub, seed, incumbent in tasks:

@@ -1,7 +1,9 @@
-"""Shared builders for randomized test corpora."""
+"""Shared builders for randomized test corpora, and the optima that
+check them."""
 
 import random
 
+import numpy as np
 import pytest
 
 from powerdom import PdsInstance, oracle_pds
@@ -129,6 +131,46 @@ def oracle_gamma(inst, **kw):
         return oracle_pds(inst, **kw)[0]
     except InfeasibleInstanceError:
         return None
+
+
+def highs_optimum(model):
+    """Optimum of a MilpModel by HiGHS through scipy: None when HiGHS
+    proves the model infeasible, else (objective, {variable: value}) with
+    binaries rounded. Any other solver status fails the calling test."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    names = list(model.variables)
+    if not names:  # scipy rejects an empty cost vector; every row reads 0
+        feasible = all({"<=": 0 <= c.rhs, ">=": 0 >= c.rhs, "=": c.rhs == 0}
+                       [c.sense] for c in model.constraints)
+        return (0, {}) if feasible else None
+    index = {name: i for i, name in enumerate(names)}
+    cost = np.zeros(len(names))
+    for name, coef in model.objective:
+        cost[index[name]] += coef
+    rows, cols, vals, lower, upper = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        for name, coef in con.coeffs:
+            rows.append(r)
+            cols.append(index[name])
+            vals.append(coef)
+        lower.append(-np.inf if con.sense == "<=" else con.rhs)
+        upper.append(np.inf if con.sense == ">=" else con.rhs)
+    matrix = coo_array((vals, (rows, cols)),
+                       shape=(len(model.constraints), len(names))).tocsr()
+    variables = [model.variables[name] for name in names]
+    binary = [v.kind == "binary" for v in variables]
+    res = milp(cost, constraints=LinearConstraint(matrix, lower, upper),
+               integrality=np.array(binary, dtype=np.uint8),
+               bounds=Bounds([v.lb for v in variables],
+                             [v.ub for v in variables]))
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    values = {name: round(x) if b else x
+              for name, x, b in zip(names, res.x, binary)}
+    return round(res.fun), values
 
 
 def _with_pattern(seed, build):

@@ -8,10 +8,10 @@ from powerdom.bruteforce import enumerate_minimal_forts
 from powerdom.cli import main
 from powerdom.forts import closed_neighborhood
 from powerdom.instance import parse_instance, write_instance
-from powerdom.milp import check_model_by_enumeration, parse_lp
+from powerdom.milp import parse_lp
 
-from conftest import (cycle_graph, disjoint_stars, oracle_gamma, path_graph,
-                      star_graph)
+from conftest import (cycle_graph, disjoint_stars, highs_optimum, oracle_gamma,
+                      path_graph, star_graph)
 
 
 @pytest.fixture
@@ -127,9 +127,9 @@ def test_export_milp_hitting_set_and_fort_models(inst, tmp_path, capsys):
         assert "forced_" not in text
     # The hitting-set rows are fort neighborhoods, so its optimum is a
     # lower bound on gamma.
-    hs_value, _ = check_model_by_enumeration(models["hitting-set"])
+    hs_value, _ = highs_optimum(models["hitting-set"])
     assert hs_value <= oracle_gamma(inst)
-    fort_value, _ = check_model_by_enumeration(models["fort"])
+    fort_value, _ = highs_optimum(models["fort"])
     assert fort_value == min(len(closed_neighborhood(inst, fort))
                              for fort in enumerate_minimal_forts(inst))
 

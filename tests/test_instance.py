@@ -93,7 +93,7 @@ def test_generate_random_basic():
     assert inst.n == 5 and inst.m == 0 and all(inst.propagating)
     k4 = generate_random(4, 6, 0.0, seed=7)
     assert k4.m == 6  # complete graph forced
-    assert all(k4.degree(v) == 3 for v in range(4))
+    assert all(len(k4.adj[v]) == 3 for v in range(4))
 
 
 def test_generate_random_deterministic():

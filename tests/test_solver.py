@@ -340,6 +340,22 @@ def test_pool_submits_nothing_past_the_deadline(monkeypatch):
     assert (res.status, res.gamma_p) == (OPTIMAL, 2)
 
 
+def test_pool_starts_no_more_workers_than_parts(monkeypatch):
+    # Under the fork start method the first submit starts every worker,
+    # so `jobs` beyond the part count would fork idle processes.
+    sizes = []
+
+    class RecordingPool(solver.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    res = solve(disjoint_stars(2), reductions="none", jobs=8)
+    assert sizes == [2]
+    assert (res.status, res.gamma_p) == (OPTIMAL, 2)
+
+
 def test_time_limit_bounds_the_reduction():
     # All rules take 0.5-0.85 s to reduce this graph to its fixpoint on a
     # 2-core x86 machine, two to three times the limit; the solve must
