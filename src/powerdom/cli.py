@@ -39,7 +39,7 @@ def cmd_solve(args):
     with (open(args.trace, "w", encoding="utf-8") if args.trace
           else contextlib.nullcontext()) as trace:
         result = solve(inst, reductions=args.reductions, seed=args.seed,
-                       time_limit=args.time_limit, jobs=args.jobs)
+                       time_limit=args.time_limit)
         if trace:
             trace.write("t_seconds,kind,value\n")
             for t, kind, value in result.bounds:
@@ -157,8 +157,6 @@ def build_parser():
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--trace", help="write bound events to this CSV path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="subinstance worker processes")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="apply the reduction rules")

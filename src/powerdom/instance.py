@@ -64,6 +64,13 @@ class PdsInstance:
             raise ValueError(
                 f"vertices both pre-selected and excluded: {sorted(conflict)}")
         self.labels = dict(labels) if labels else {}
+        for v, label in self.labels.items():
+            if not 0 <= v < self.n:
+                raise ValueError(f"label on vertex {v} out of range")
+            # The .pds grammar's labels are single words outside comments.
+            if not label or "#" in label or any(c.isspace() for c in label):
+                raise ValueError(f"label {label!r} is empty or holds "
+                                 "whitespace or '#'")
 
     @property
     def m(self):
@@ -125,7 +132,7 @@ def parse_instance(text, fmt="pds"):
         p pds <n> <m>        header, first non-comment line, exactly once
         v <id> <flag>        flag N = non-propagating, S = pre-selected,
                              X = excluded; repeats are idempotent
-        l <id> <label>       optional label without spaces
+        l <id> <label>       optional label, no whitespace or '#'
         e <u> <v>            exactly m edge lines, u != v
 
     The `edgelist` format is one `u v` pair per line with ids taken

@@ -9,7 +9,6 @@ provide anytime upper bounds.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,7 @@ class SolveResult:
     `bounds` lists `(seconds since the call began, "lower" | "upper",
     value)`, one entry per improvement of either bound; the last of each
     kind are `lower_bound` and `upper_bound`, and an Infeasible result has
-    none. In a `--jobs` run a part's entries are timed from its submission
-    to a worker, and parts overlap, so the times need not ascend.
+    none. The times ascend.
     """
 
     status: str
@@ -197,50 +195,17 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
         grow(hit)
 
 
-def _solve_part(sub, seed, seconds_left, incumbent):
-    """`ihs_kernel_solve` in a worker process, whose `perf_counter` need
-    not share the parent's origin, so the deadline is taken here."""
-    deadline = (None if seconds_left is None
-                else time.perf_counter() + seconds_left)
-    return ihs_kernel_solve(sub, seed=seed, deadline=deadline,
-                            incumbent=incumbent)
-
-
-def _solve_parts_in_pool(tasks, jobs, deadline):
-    """`(start, result)` per (sub, seed, incumbent) task, in task order:
-    `_solve_part` run in worker processes, at most `jobs` at a time, each
-    given the seconds left at its submission, whose `perf_counter` value
-    is `start`. As in the serial loop, no task is submitted once the
-    deadline has passed, so the list may stop short."""
-    submitted = []
-    # Under the fork start method the first submit starts every worker.
-    jobs = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        running = set()
-        for sub, seed, incumbent in tasks:
-            if len(running) == jobs:
-                _, running = wait(running, return_when=FIRST_COMPLETED)
-            start = time.perf_counter()
-            if deadline is not None and start > deadline:
-                break
-            left = None if deadline is None else deadline - start
-            future = pool.submit(_solve_part, sub, seed, left, incumbent)
-            running.add(future)
-            submitted.append((start, future))
-    return [(start, future.result()) for start, future in submitted]
-
-
-def solve(inst, reductions="all", seed=0, time_limit=None, jobs=1):
+def solve(inst, reductions="all", seed=0, time_limit=None):
     """Full pipeline: reduce, split, solve each part, merge, lift.
 
     `reductions` names a rule subset ('all', 'local', 'nonlocal',
     'local+dom', 'local+necn', 'none'). Deterministic for a fixed seed
-    when no timeout occurs; subinstances are solved largest-first with a
-    shared deadline, which also cuts the reduction short. With `jobs > 1`
-    the parts are solved in worker processes. Either way each part's
-    `bounds` are replayed in that order into the result's `bounds`, timed
-    from the part's start, so a parallel run records the same bound
-    values as a serial one.
+    when no timeout occurs. The parts are solved one after another,
+    smallest first, under a shared deadline that also cuts the reduction
+    short, so a timed-out run has proved what it can on every part it
+    reached. Each part's seed is drawn by its index, so its result does
+    not depend on the order. A part's `bounds` go into the result's
+    `bounds` as soon as it returns, timed from the call's start.
     """
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit is not None else None
@@ -276,20 +241,15 @@ def solve(inst, reductions="all", seed=0, time_limit=None, jobs=1):
 
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(seed).spawn(max(1, len(parts)))]
-    order = sorted(range(len(parts)), key=lambda i: -parts[i].n)
-    tasks = [(parts[i], seeds[i], solutions[i]) for i in order]
-    if jobs > 1 and len(order) > 1:
-        outcomes = _solve_parts_in_pool(tasks, jobs, deadline)
-    else:
-        outcomes = []
-        for sub, part_seed, incumbent in tasks:
-            start = time.perf_counter()
-            if deadline is not None and start > deadline:
-                break
-            outcomes.append((start, ihs_kernel_solve(
-                sub, seed=part_seed, deadline=deadline, incumbent=incumbent)))
+    # sorted is stable, so parts of equal size keep their index order.
+    order = sorted(range(len(parts)), key=lambda i: parts[i].n)
     fort_count = hs_solves = 0
-    for i, (start, res) in zip(order, outcomes):
+    for i in order:
+        start = time.perf_counter()
+        if deadline is not None and start > deadline:
+            break
+        res = ihs_kernel_solve(parts[i], seed=seeds[i], deadline=deadline,
+                               incumbent=solutions[i])
         fort_count += res.fort_count
         hs_solves += res.hitting_set_solves
         solutions[i] = res.solution

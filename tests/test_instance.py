@@ -88,6 +88,15 @@ def test_invariants_rejected():
         PdsInstance(2, pre_selected=[0], excluded=[0])
 
 
+@pytest.mark.parametrize("labels", [{0: "bus 1"}, {0: ""}, {0: "a#b"},
+                                    {0: "a\tb"}, {5: "x"}, {-1: "x"}])
+def test_labels_outside_the_pds_grammar_rejected(labels):
+    # Each of these would be written as a line parse_instance rejects or
+    # reads back as another instance.
+    with pytest.raises(ValueError):
+        PdsInstance(2, [(0, 1)], labels=labels)
+
+
 def test_generate_random_basic():
     inst = generate_random(5, 0, 0.0, seed=1)
     assert inst.n == 5 and inst.m == 0 and all(inst.propagating)

@@ -1,6 +1,5 @@
 import random
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -16,6 +15,8 @@ from conftest import (cycle_graph, disjoint_stars, grid_graph,
                       random_instance, star_graph)
 
 SUBSETS = ("all", "local", "nonlocal", "local+dom", "local+necn", "none")
+# Two 3-leaf stars with adjacent centres: gamma = 2, greedy bounds [1, 2].
+TWO_STARS = [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (0, 4)]
 
 
 def test_solve_p5():
@@ -192,15 +193,12 @@ def _last_bounds(res):
 
 
 def test_bounds_end_at_the_result_bounds():
-    # The grid-like graph splits into twelve parts, which the parallel run
-    # solves in worker processes.
+    # The grid-like graph splits into twelve parts.
     optimal = solve(gridlike_graph(300, 2), seed=3)
     timed_out = solve(grid_graph(12), reductions="none", time_limit=0.3)
-    parallel = solve(gridlike_graph(300, 2), seed=3, jobs=2)
     assert optimal.status == OPTIMAL and timed_out.status == TIMED_OUT
-    for res in (optimal, timed_out, parallel):
-        assert _last_bounds(res) == (res.lower_bound, res.upper_bound)
     for res in (optimal, timed_out):
+        assert _last_bounds(res) == (res.lower_bound, res.upper_bound)
         times = [t for t, _, _ in res.bounds]
         assert times == sorted(times)
         assert 0 <= times[0] and times[-1] <= res.wall_time
@@ -208,11 +206,9 @@ def test_bounds_end_at_the_result_bounds():
 
 
 def test_time_limit_times_out():
-    # an expired deadline must return bounds instead of an answer; two
-    # 3-leaf stars with adjacent centres need 2 vertices, but the bounds
-    # known before any hitting set solve are 1 and 2
-    inst = PdsInstance(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7),
-                           (0, 4)])
+    # an expired deadline must return bounds instead of an answer: the
+    # greedy bounds [1, 2] rather than gamma = 2
+    inst = PdsInstance(8, TWO_STARS)
     res = solve(inst, time_limit=0.0, reductions="none")
     assert res.status == TIMED_OUT
     assert res.gamma_p is None
@@ -220,6 +216,23 @@ def test_time_limit_times_out():
     assert res.lower_bound <= gamma <= res.upper_bound
     if res.solution is not None:
         assert len(observed_set(inst, res.solution.selected)) == inst.n
+
+
+def test_timed_out_run_keeps_the_bounds_of_the_parts_it_reached():
+    # A 40x40 grid with no reductions runs past the limit. Each of three
+    # disjoint two-star graphs needs 2 vertices where greedy alone proves
+    # 1, and solving the parts smallest first proves all three before the
+    # grid takes the rest of the time.
+    grid = grid_graph(40)
+    stars = [(grid.n + 8 * c + u, grid.n + 8 * c + v)
+             for c in range(3) for u, v in TWO_STARS]
+    inst = PdsInstance(grid.n + 24, list(grid.edges) + stars)
+    res = solve(inst, reductions="none", time_limit=1.0)
+    assert res.status == TIMED_OUT
+    assert res.lower_bound >= 1 + 3 * 2
+    times = [t for t, _, _ in res.bounds]
+    assert times == sorted(times)
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
 
 
 def test_expired_deadline_with_meeting_bounds_is_optimal():
@@ -274,86 +287,6 @@ def test_grid_solves_are_seed_reproducible():
         assert a.status == OPTIMAL
         assert (a.solution, a.fort_count, a.hitting_set_solves) == \
             (b.solution, b.fort_count, b.hitting_set_solves)
-
-
-def test_jobs_parallel_agrees():
-    inst = disjoint_stars(4)
-    seq = solve(inst, seed=3, jobs=1)
-    par = solve(inst, seed=3, jobs=2)
-    assert seq.gamma_p == par.gamma_p == 4
-    assert seq.solution == par.solution
-    # Worker bound events are replayed in the serial order.
-    inst = gridlike_graph(300, 2)
-    traces = []
-    for jobs in (1, 2):
-        res = solve(inst, seed=3, jobs=jobs)
-        traces.append([(kind, value) for _, kind, value in res.bounds])
-    assert traces[0] == traces[1]
-
-
-def test_jobs_time_limit_bounds_the_workers():
-    # Each 12x12 grid alone takes longer than the limit with no
-    # reductions. Two run in workers at once and must stop in time; the
-    # third waits for a free worker and gets only the time left then.
-    inst = grid_graph(12, copies=3)
-    limit = 2.0
-    t0 = time.perf_counter()
-    res = solve(inst, reductions="none", jobs=2, time_limit=limit)
-    wall = time.perf_counter() - t0
-    assert res.status == TIMED_OUT
-    assert wall <= limit + 1.0
-    assert len(observed_set(inst, res.solution.selected)) == inst.n
-    assert res.lower_bound <= len(res.solution) == res.upper_bound
-
-
-def test_pool_submits_nothing_past_the_deadline(monkeypatch):
-    # A part started past the deadline would return only its starting
-    # bounds, so the pool, like the serial loop, does not start it.
-    submitted = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
-    two_stars = disjoint_stars(2)
-    res = solve(two_stars, jobs=2, time_limit=-1)
-    assert submitted == []
-    assert (res.status, res.gamma_p) == (OPTIMAL, 2)
-    assert res.solution == solve(two_stars).solution
-    # Before the deadline, every part is submitted with the time left.
-    res = solve(two_stars, reductions="none", jobs=2, time_limit=60)
-    assert len(submitted) == 2
-    assert all(0 < left <= 60 for _, _, left, _ in submitted)
-    assert (res.status, res.gamma_p) == (OPTIMAL, 2)
-
-
-def test_pool_starts_no_more_workers_than_parts(monkeypatch):
-    # Under the fork start method the first submit starts every worker,
-    # so `jobs` beyond the part count would fork idle processes.
-    sizes = []
-
-    class RecordingPool(solver.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
-    res = solve(disjoint_stars(2), reductions="none", jobs=8)
-    assert sizes == [2]
-    assert (res.status, res.gamma_p) == (OPTIMAL, 2)
 
 
 def test_time_limit_bounds_the_reduction():
