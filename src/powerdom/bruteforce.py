@@ -14,13 +14,14 @@ monotone, so applying them all in one batched round is sound, and plain
 instances are the special case with no arcs. The closure is also
 idempotent, so candidate selections are seeded with the union of
 precomputed single-vertex closures.
+
+numpy is imported inside the functions that use it, so importing
+`powerdom` or running its solver does not load it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import numpy as np
 
 from .errors import GuardExceededError, InfeasibleInstanceError
 from .instance import SolutionSet
@@ -28,6 +29,7 @@ from .instance import SolutionSet
 
 def _pairs(pairs):
     """(tails, heads) arrays of a list of vertex pairs."""
+    import numpy as np
     array = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     return array[:, 0], array[:, 1]
 
@@ -36,6 +38,7 @@ class _Closure:
     """Observation closure of one instance, over directed edge arrays."""
 
     def __init__(self, inst):
+        import numpy as np
         self.n = inst.n
         edges = sorted(inst.edges)
         self.src, self.dst = _pairs(edges + [(v, u) for u, v in edges])
@@ -47,6 +50,7 @@ class _Closure:
 
     def seed(self, selected):
         """Selected vertices and their neighbours."""
+        import numpy as np
         chosen = np.zeros(self.n, dtype=bool)
         chosen[list(selected)] = True
         obs = chosen.copy()
@@ -55,6 +59,7 @@ class _Closure:
 
     def fixpoint(self, obs):
         """Close `obs` under propagation and the arcs; `obs` is not changed."""
+        import numpy as np
         while True:
             unobs = ~obs
             pending = unobs[self.dst]
@@ -76,6 +81,7 @@ def observed_set(inst, selected):
     """Fixpoint of the domination, propagation, booster and implication
     rules, as a frozenset. Instances without booster edges or implication
     arcs are the plain special case."""
+    import numpy as np
     obs = _Closure(inst).observed(selected)
     return frozenset(np.flatnonzero(obs).tolist())
 

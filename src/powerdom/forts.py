@@ -8,9 +8,8 @@ turns fort families into hitting set instances.
 
 from __future__ import annotations
 
+import random
 import time
-
-import numpy as np
 
 from .errors import InfeasibleInstanceError
 from .propagation import observe_from
@@ -70,16 +69,21 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     no deselect. The pass is not checked against the deadline; it costs
     O(n + m), as one full observation does.
 
-    Randomness comes from numpy's PCG64 generator, so a fixed seed
-    reproduces the fort list on any platform. Once the `perf_counter`
-    `deadline` has passed, the sweep stops and the forts found so far are
-    returned, possibly none; the last may be left less minimized.
+    The order sorts the pool by one `random()` draw per vertex, in pool
+    order, from stdlib `random`: `seed` is an int that seeds a
+    `random.Random`, or such a generator itself. Python keeps `random()`
+    of an int seed the same across versions, so a fixed seed reproduces
+    the fort list on any platform; numpy is not imported. Once the
+    `perf_counter` `deadline` has passed, the sweep stops and the forts
+    found so far are returned, possibly none; the last may be left less
+    minimized.
     """
     hitting_set = frozenset(hitting_set)
     base = hitting_set | inst.pre_selected
     pool = [v for v in inst.undecided() if v not in base]
-    rng = np.random.default_rng(seed)
-    order = [pool[int(i)] for i in rng.permutation(len(pool))]
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    key = rng.random
+    order = sorted(pool, key=lambda v: key())
     state = observe_from(inst, base)
     if state.is_complete():
         return []

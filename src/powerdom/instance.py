@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParseError
 
 
@@ -268,12 +266,15 @@ def generate_random(n, m, frac_nonprop=0.0, seed=0):
 
     floor(frac_nonprop * n) vertices are marked non-propagating. Pure
     function of its arguments: uses a PCG64 stream seeded with `seed`.
+    numpy is imported here, not with the module, so that the solver runs
+    without it.
     """
     max_m = n * (n - 1) // 2
     if m > max_m:
         raise ValueError(f"m={m} exceeds simple-graph maximum {max_m}")
     if not 0.0 <= frac_nonprop <= 1.0:
         raise ValueError("frac_nonprop must be within [0, 1]")
+    import numpy as np
     rng = np.random.default_rng(seed)
     picks = np.asarray(rng.choice(max_m, size=m, replace=False) if m else [],
                        dtype=np.int64)

@@ -8,10 +8,9 @@ provide anytime upper bounds.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .decompose import merge_solutions, split
 from .errors import InfeasibleInstanceError
@@ -120,6 +119,10 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
     number of rows. A neighborhood never meets the pre-selected set, so
     two share a row only when they differ in excluded vertices alone,
     which ask nothing of the hitting set.
+
+    The fort sweeps draw their orders, one after another, from a stdlib
+    `random.Random(seed)`; the solver imports no numpy, which only the
+    brute-force oracles and `generate_random` load.
     """
     t0 = time.perf_counter()
     bounds = []
@@ -140,7 +143,7 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
         # The pre-selected set alone observes everything.
         return result(OPTIMAL, best, x_size, x_size, x_size, 0, 0)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     universe = frozenset(sub.undecided())
     hs = HittingSetInstance(universe)
 
@@ -203,9 +206,11 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     when no timeout occurs. The parts are solved one after another,
     smallest first, under a shared deadline that also cuts the reduction
     short, so a timed-out run has proved what it can on every part it
-    reached. Each part's seed is drawn by its index, so its result does
-    not depend on the order. A part's `bounds` go into the result's
-    `bounds` as soon as it returns, timed from the call's start.
+    reached. Each part's seed is the 64-bit draw of that index from a
+    stdlib `random.Random(seed)`, so its result does not depend on the
+    order; no step of the solve imports numpy. A part's `bounds` go into
+    the result's `bounds` as soon as it returns, timed from the call's
+    start.
     """
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit is not None else None
@@ -239,8 +244,8 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     bounds.append((clock(), "lower", x_size + sum(lowers)))
     bounds.append((clock(), "upper", x_size + sum(uppers)))
 
-    seeds = [int(s.generate_state(1)[0])
-             for s in np.random.SeedSequence(seed).spawn(max(1, len(parts)))]
+    rng = random.Random(seed)
+    seeds = [rng.getrandbits(64) for _ in parts]
     # sorted is stable, so parts of equal size keep their index order.
     order = sorted(range(len(parts)), key=lambda i: parts[i].n)
     fort_count = hs_solves = 0

@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -128,13 +129,31 @@ def test_every_optimum_hits_every_fort_neighborhood():
             assert witness.selected & closed_neighborhood(inst, fort)
 
 
-def _select_deselect_find_forts(inst, hitting_set, seed):
-    """Reference sweep: undo each re-selection with deselect."""
+def _sweep_order(inst, hitting_set, seed):
+    """H with X, and the order `find_forts` sweeps the rest of the
+    undecided vertices in: sorted by one stdlib `random()` draw each."""
     base = frozenset(hitting_set) | inst.pre_selected
     pool = [v for v in inst.undecided() if v not in base]
-    state = observe_from(inst, base | set(pool))
-    rng = np.random.default_rng(seed)
-    order = [pool[int(i)] for i in rng.permutation(len(pool))]
+    key = random.Random(seed).random
+    return base, sorted(pool, key=lambda v: key())
+
+
+def test_sweep_order_is_pinned():
+    # With no edges, a vertex is observed only when selected, so the
+    # first fort comes at the first step and each step's fort is the one
+    # vertex it removes: the forts spell out the order drawn for seed 0.
+    # The literal is the stream of every Python version.
+    inst = PdsInstance(12)
+    order = [3, 7, 5, 2, 8, 11, 4, 9, 1, 6, 0, 10]
+    assert find_forts(inst, frozenset(), seed=0) == \
+        [frozenset({v}) for v in order]
+    assert _sweep_order(inst, (), 0) == (frozenset(), order)
+
+
+def _select_deselect_find_forts(inst, hitting_set, seed):
+    """Reference sweep: undo each re-selection with deselect."""
+    base, order = _sweep_order(inst, hitting_set, seed)
+    state = observe_from(inst, base | set(order))
     forts, removed, prev_was_solution = [], set(), True
     for i, u in enumerate(order):
         if not prev_was_solution:
@@ -164,16 +183,14 @@ def _fresh_observe_find_forts(inst, hitting_set, seed):
     """Reference sweep that shares no incremental code with find_forts:
     every removal and every minimisation step observes from scratch, and
     every removed vertex is tried, in ascending id order."""
-    base = frozenset(hitting_set) | inst.pre_selected
-    pool = [v for v in inst.undecided() if v not in base]
-    rng = np.random.default_rng(seed)
-    order = [pool[int(i)] for i in rng.permutation(len(pool))]
+    base, order = _sweep_order(inst, hitting_set, seed)
+    pool = set(order)
     forts, removed, prev_was_solution = [], set(), True
     for i, u in enumerate(order):
         if not prev_was_solution:
             removed.discard(order[i - 1])
         removed.add(u)
-        selected = base | (set(pool) - removed)
+        selected = base | (pool - removed)
         prev_was_solution = observe_from(inst, selected).is_complete()
         if prev_was_solution:
             continue
@@ -218,13 +235,6 @@ def test_sweep_matches_a_from_scratch_sweep():
         assert forts == _fresh_observe_find_forts(inst, hitting, seed)
         compared += len(forts)
     assert compared > 300
-
-
-def _sweep_order(inst, hitting_set, seed):
-    base = frozenset(hitting_set) | inst.pre_selected
-    pool = [v for v in inst.undecided() if v not in base]
-    rng = np.random.default_rng(seed)
-    return base, [pool[int(i)] for i in rng.permutation(len(pool))]
 
 
 def _first_fort_step(inst, hitting_set, seed):

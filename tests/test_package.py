@@ -1,6 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import powerdom
+from powerdom import (find_forts, generate_random, oracle_pds, solve,
+                      write_instance)
+
+from conftest import gridlike_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_one_public_name_per_callable():
@@ -12,3 +24,39 @@ def test_one_public_name_per_callable():
         if callable(obj):
             names.setdefault(id(obj), []).append(name)
     assert [group for group in names.values() if len(group) > 1] == []
+
+
+def test_solver_path_imports_no_numpy():
+    # A fresh interpreter imports powerdom, solves and sweeps forts with
+    # numpy never loaded; the oracle and the generator then load it.
+    script = textwrap.dedent("""
+        import json
+        import sys
+
+        from powerdom import (find_forts, generate_random, oracle_pds,
+                              parse_instance, solve, write_instance)
+
+        inst = parse_instance(sys.stdin.read())
+        gamma = solve(inst, reductions="none").gamma_p
+        forts = [sorted(f) for f in find_forts(inst, frozenset(), seed=0)]
+        solver_loaded = "numpy" in sys.modules
+        small = generate_random(12, 15, 0.3, seed=1)
+        print(json.dumps({
+            "solver_loaded": solver_loaded, "gamma": gamma, "forts": forts,
+            "graph": write_instance(small), "oracle": oracle_pds(small)[0],
+            "loaded": "numpy" in sys.modules}))
+        """)
+    inst = gridlike_graph(90, 11)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          input=write_instance(inst), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert not out["solver_loaded"] and out["loaded"]
+    assert out["gamma"] == solve(inst, reductions="none").gamma_p == 15
+    forts = find_forts(inst, frozenset(), seed=0)
+    assert forts and out["forts"] == [sorted(f) for f in forts]
+    small = generate_random(12, 15, 0.3, seed=1)
+    assert out["graph"] == write_instance(small)
+    assert out["oracle"] == oracle_pds(small)[0]

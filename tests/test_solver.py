@@ -4,7 +4,8 @@ import time
 import pytest
 
 from powerdom import (INFEASIBLE, OPTIMAL, TIMED_OUT, PdsInstance,
-                      greedy_complete, ihs_kernel_solve, solve, solver)
+                      greedy_complete, hittingset, ihs_kernel_solve, solve,
+                      solver)
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.hittingset import HittingSetTimeout
@@ -247,19 +248,22 @@ def test_expired_deadline_with_meeting_bounds_is_optimal():
 
 
 def test_deadline_cuts_a_hitting_set_solve(monkeypatch):
-    # The first two hitting set solves of this graph need no branching;
-    # the third does. Starting that solve only once the deadline has
-    # passed stands in for a solve slower than the time left, and the
-    # search must stop at its first branching node.
+    # Under seed 0 the fourth hitting set solve of this graph branches.
+    # Starting that solve only once the deadline has passed stands in for
+    # a solve slower than the time left, and the search must stop at its
+    # first branching node.
     inst = gridlike_graph(90, 11)
     limit = 1.0
+    delayed = 4
     real = solver.solve_exact
+    real_branch = hittingset._branch
     calls = []
+    branched = []
     cut = []
 
-    def late_third_solve(hs, lower_bound_hint=0, deadline=None):
+    def late_solve(hs, lower_bound_hint=0, deadline=None):
         calls.append(len(hs))
-        if len(calls) == 3:
+        if len(calls) == delayed:
             time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
         try:
             return real(hs, lower_bound_hint=lower_bound_hint,
@@ -268,11 +272,18 @@ def test_deadline_cuts_a_hitting_set_solve(monkeypatch):
             cut.append(len(hs))
             raise
 
-    monkeypatch.setattr(solver, "solve_exact", late_third_solve)
+    def counted_branch(*args):
+        branched.append(len(calls))
+        return real_branch(*args)
+
+    monkeypatch.setattr(solver, "solve_exact", late_solve)
+    monkeypatch.setattr(hittingset, "_branch", counted_branch)
     t0 = time.perf_counter()
     res = ihs_kernel_solve(inst, seed=0, deadline=t0 + limit)
     wall = time.perf_counter() - t0
-    assert len(calls) == 3 and len(cut) == 1
+    # The premise: the delayed solve reaches a branching node.
+    assert len(calls) == delayed and branched[-1:] == [delayed]
+    assert len(cut) == 1 and branched.count(delayed) == 1
     assert wall <= limit + 1.0
     assert res.status == TIMED_OUT and res.gamma_p is None
     assert len(observed_set(inst, res.solution.selected)) == inst.n
