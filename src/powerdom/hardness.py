@@ -26,11 +26,12 @@ class Circuit:
     `nodes` maps name -> (kind, children); kinds are 'in', 'and', 'or',
     'out'. Children must be declared before use, gates and the output need
     at least one child, and every node must reach the output. A
-    multi-child output behaves like an or-gate.
+    multi-child output behaves like an or-gate. Node names are unique.
     """
 
     def __init__(self, nodes):
-        self.nodes = dict(nodes)
+        pairs = list(nodes.items() if isinstance(nodes, dict) else nodes)
+        self.nodes = dict(pairs)
         self.order = list(self.nodes)
         self.inputs = tuple(n for n, (k, _) in self.nodes.items() if k == "in")
         outs = [n for n, (k, _) in self.nodes.items() if k == "out"]
@@ -39,7 +40,9 @@ class Circuit:
         self.output = outs[0]
         declared = set()
         used = set()
-        for name, (kind, children) in self.nodes.items():
+        for name, (kind, children) in pairs:
+            if name in declared:
+                raise ValueError(f"duplicate node name {name!r}")
             if kind not in ("in", "and", "or", "out"):
                 raise ValueError(f"unknown node kind {kind!r}")
             if kind == "in" and children:
@@ -69,6 +72,7 @@ def parse_circuit(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     nodes = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,8 +84,9 @@ def parse_circuit(text):
         if len(parts) < 2:
             raise ParseError("missing node name", lineno)
         name = parts[1]
-        if any(name == existing for existing, _ in nodes):
+        if name in seen:
             raise ParseError(f"duplicate node name {name!r}", lineno)
+        seen.add(name)
         nodes.append((name, (kind, tuple(parts[2:]))))
     try:
         return Circuit(nodes)
@@ -115,23 +120,20 @@ def eval_circuit(circuit, true_inputs):
     return value[circuit.output]
 
 
-def wmcs_min_weight(circuit, k_max=None, max_inputs=20):
+def wmcs_min_weight(circuit, max_inputs=20):
     """Minimum number of true inputs that satisfies the circuit.
 
-    Subset enumeration by increasing weight; returns None when no
-    assignment of weight <= k_max works. Monotone circuits are always
-    satisfied by the all-true assignment, so without k_max the result is
-    an integer.
+    Subset enumeration by increasing weight. A monotone circuit is always
+    satisfied by the all-true assignment, so the search ends by weight
+    |inputs|.
     """
     if len(circuit.inputs) > max_inputs:
         raise GuardExceededError(
             f"{len(circuit.inputs)} inputs exceed guard {max_inputs}")
-    cap = len(circuit.inputs) if k_max is None else min(k_max, len(circuit.inputs))
-    for k in range(cap + 1):
+    for k in range(len(circuit.inputs) + 1):
         for combo in combinations(circuit.inputs, k):
             if eval_circuit(circuit, combo):
                 return k
-    return None
 
 
 class IpdsInstance(PdsInstance):
@@ -143,23 +145,21 @@ class IpdsInstance(PdsInstance):
                  excluded=(), labels=None, booster_edges=(),
                  implication_arcs=()):
         super().__init__(n, edges, propagating, pre_selected, excluded, labels)
+        edge_set = set(self.edges)
         boosters = set()
         for u, v in booster_edges:
             key = (u, v) if u < v else (v, u)
-            if key not in self.edges:
+            if key not in edge_set:
                 raise ValueError(f"booster edge {key} is not a graph edge")
             boosters.add(key)
         self.booster_edges = frozenset(boosters)
-        arcs = []
-        for u, v in implication_arcs:
-            u, v = int(u), int(v)
+        arcs = [(int(u), int(v)) for u, v in implication_arcs]
+        for u, v in arcs:
             if u == v:
                 raise ValueError(f"self-arc at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"arc ({u}, {v}) references a missing vertex")
-            if (u, v) not in arcs:
-                arcs.append((u, v))
-        self.implication_arcs = tuple(arcs)
+        self.implication_arcs = tuple(dict.fromkeys(arcs))
 
     def to_pds(self):
         if self.booster_edges or self.implication_arcs:
@@ -181,11 +181,46 @@ class IpdsInstance(PdsInstance):
 
 @dataclass
 class Transform:
-    """Output of one reduction step; chained shifts add up."""
+    """Output of one reduction step; chained shifts add up.
+
+    `provenance` gives every output vertex exactly one role. A vertex
+    carried over from the input has role ("kept", v) and keeps its id v,
+    its label and its flags, except the flags the step exists to remove:
+    the X of `ipds_ext_to_ipds` and the non-propagating flags of
+    `pds_to_simple`.
+    """
 
     output: object
     shift: int
     provenance: dict = field(default_factory=dict)
+
+
+class _Builder:
+    """Vertices of one step's output, numbered in the order they are added.
+
+    Built on a base instance, the output starts with the base's vertices,
+    which keep their ids, propagating flags, X, Y and labels.
+    """
+
+    def __init__(self, base=None):
+        self.propagating = [] if base is None else list(base.propagating)
+        self.provenance = {v: ("kept", v)
+                           for v in range(len(self.propagating))}
+        self.fields = {} if base is None else dict(
+            pre_selected=base.pre_selected, excluded=base.excluded,
+            labels=base.labels)
+
+    def add(self, role, propagating=True):
+        vid = len(self.propagating)
+        self.propagating.append(propagating)
+        self.provenance[vid] = role
+        return vid
+
+    def build(self, edges, shift=0, kind=PdsInstance, **fields):
+        """Output instance and Transform; `fields` override the base's."""
+        fields = {"propagating": self.propagating, **self.fields, **fields}
+        out = kind(len(self.propagating), edges, **fields)
+        return Transform(out, shift, self.provenance)
 
 
 def wmcs_to_ipds_ext(circuit):
@@ -197,50 +232,31 @@ def wmcs_to_ipds_ext(circuit):
     proxies for and-gates), the output implies every input, and everything
     except the circuit inputs is excluded. Parameter shift 0.
     """
+    b = _Builder()
     vertex_in = {}
     vertex_out = {}
-    provenance = {}
     edges = []
     arcs = []
-    next_id = 0
-
-    def fresh(role):
-        nonlocal next_id
-        vid = next_id
-        next_id += 1
-        provenance[vid] = role
-        return vid
-
     for name in circuit.order:
         kind, children = circuit.nodes[name]
         if kind == "and":
-            x = fresh(("gate_input", name))
-            y = fresh(("gate_output", name))
+            x = b.add(("gate_input", name))
+            y = b.add(("gate_output", name))
             edges.append((x, y))
             vertex_in[name] = x
             vertex_out[name] = y
             for child in children:
-                proxy = fresh(("proxy_input", name, child))
+                proxy = b.add(("proxy_input", name, child))
                 edges.append((proxy, x))
                 arcs.append((vertex_out[child], proxy))
         else:
-            v = fresh((kind, name))
-            vertex_in[name] = v
-            vertex_out[name] = v
-            for child in children:
-                arcs.append((vertex_out[child], v))
-    for name in circuit.inputs:
-        arcs.append((vertex_out[circuit.output], vertex_in[name]))
-
-    input_ids = {vertex_in[name] for name in circuit.inputs}
-    excluded = [v for v in range(next_id) if v not in input_ids]
-    fanin = sum(len(circuit.nodes[g][1]) for g in circuit.order
-                if circuit.nodes[g][0] == "and")
-    n_and = sum(1 for _, (k, _) in circuit.nodes.items() if k == "and")
-    assert next_id == len(circuit.nodes) + n_and + fanin
-    out = IpdsInstance(next_id, edges, excluded=excluded,
-                       implication_arcs=arcs)
-    return Transform(out, 0, provenance)
+            v = vertex_in[name] = vertex_out[name] = b.add((kind, name))
+            arcs.extend((vertex_out[child], v) for child in children)
+    inputs = [vertex_in[name] for name in circuit.inputs]
+    arcs.extend((vertex_out[circuit.output], v) for v in inputs)
+    excluded = set(b.provenance).difference(inputs)
+    return b.build(edges, kind=IpdsInstance, excluded=excluded,
+                   implication_arcs=arcs)
 
 
 def ipds_ext_to_ipds(inst):
@@ -255,70 +271,35 @@ def ipds_ext_to_ipds(inst):
     |V| then stays inside the clique. Parameter shift 0 (the forced
     vertices remain counted).
     """
-    if not inst.pre_selected and not inst.excluded:
-        return Transform(inst, 0, {v: ("kept", v) for v in range(inst.n)})
-
     if not inst.excluded:
         # Leaves only: force each pre-selected vertex, then forget X.
-        n = inst.n
+        b = _Builder(inst)
         edges = list(inst.edges)
-        provenance = {v: ("kept", v) for v in range(n)}
-        prop = list(inst.propagating)
-        for x in sorted(inst.pre_selected):
-            for _ in range(2):
-                leaf = n
-                n += 1
-                edges.append((x, leaf))
-                provenance[leaf] = ("forcing_leaf", x)
-                prop.append(True)
-        assert n == inst.n + 2 * len(inst.pre_selected)
-        out = IpdsInstance(n, edges, prop,
-                           booster_edges=inst.booster_edges,
-                           implication_arcs=inst.implication_arcs)
-        return Transform(out, 0, provenance)
-
-    n = inst.n
-    copies = n + 1
-    allowed = sorted(v for v in range(n) if v not in inst.excluded)
-    clique_id = {orig: copies * n + j for j, orig in enumerate(allowed)}
-    total = copies * n + len(allowed) + 2 * len(inst.pre_selected)
-
-    provenance = {}
-    edges = []
-    boosters = []
-    arcs = []
-    prop = [True] * total
-    for i in range(copies):
-        base = i * n
-        for v in range(n):
-            provenance[base + v] = ("copy", i, v)
-            prop[base + v] = inst.propagating[v]
-        for u, v in inst.edges:
-            edges.append((base + u, base + v))
-        for u, v in inst.booster_edges:
-            boosters.append((base + u, base + v))
-        for u, v in inst.implication_arcs:
-            arcs.append((base + u, base + v))
-    for orig, b in clique_id.items():
-        provenance[b] = ("clique", orig)
-        prop[b] = False
-        for i in range(copies):
-            base = i * n
-            edges.append((b, base + orig))
-            for w in inst.adj[orig]:
-                edges.append((b, base + w))
-    for a, b in combinations(sorted(clique_id.values()), 2):
-        edges.append((a, b))
-    next_id = copies * n + len(allowed)
+        boosters, arcs = inst.booster_edges, inst.implication_arcs
+        anchor = range(inst.n)
+    else:
+        b = _Builder()
+        edges, boosters, arcs, copies = [], [], [], []
+        for i in range(inst.n + 1):
+            copy = [b.add(("copy", i, v), inst.propagating[v])
+                    for v in range(inst.n)]
+            copies.append(copy)
+            edges.extend((copy[u], copy[v]) for u, v in inst.edges)
+            boosters.extend((copy[u], copy[v]) for u, v in inst.booster_edges)
+            arcs.extend((copy[u], copy[v]) for u, v in inst.implication_arcs)
+        anchor = {v: b.add(("clique", v), propagating=False)
+                  for v in range(inst.n) if v not in inst.excluded}
+        for orig, c in anchor.items():
+            for copy in copies:
+                edges.append((c, copy[orig]))
+                edges.extend((c, copy[w]) for w in inst.adj[orig])
+        edges.extend(combinations(anchor.values(), 2))
+    # Two leaves on the vertex that stands for each pre-selected one.
     for x in sorted(inst.pre_selected):
         for _ in range(2):
-            provenance[next_id] = ("forcing_leaf", clique_id[x])
-            edges.append((clique_id[x], next_id))
-            next_id += 1
-    assert next_id == total
-    out = IpdsInstance(total, edges, prop, booster_edges=boosters,
-                       implication_arcs=arcs)
-    return Transform(out, 0, provenance)
+            edges.append((anchor[x], b.add(("forcing_leaf", anchor[x]))))
+    return b.build(edges, kind=IpdsInstance, pre_selected=(),
+                   booster_edges=boosters, implication_arcs=arcs)
 
 
 def eliminate_implication_arcs(inst):
@@ -330,28 +311,16 @@ def eliminate_implication_arcs(inst):
     c ~ y reaches y; from y alone, c stays stuck with two unobserved
     neighbors, so nothing flows backwards. Parameter shift 0.
     """
-    if not inst.implication_arcs:
-        return Transform(inst, 0, {v: ("kept", v) for v in range(inst.n)})
-    n = inst.n
+    b = _Builder(inst)
     edges = list(inst.edges)
     boosters = list(inst.booster_edges)
-    prop = list(inst.propagating)
-    provenance = {v: ("kept", v) for v in range(n)}
     for x, y in inst.implication_arcs:
-        a, p1, p2, c = n, n + 1, n + 2, n + 3
-        n += 4
-        prop.extend([True] * 4)
-        for vid, role in zip((a, p1, p2, c), ("hub", "pendant", "pendant",
-                                              "gate")):
-            provenance[vid] = ("arc_gadget", role, (x, y))
-        for u, v in ((x, a), (a, p1), (a, p2), (c, y)):
-            edges.append((u, v))
-            boosters.append((u, v))
-        edges.extend([(p1, c), (p2, c)])
-    assert n == inst.n + 4 * len(inst.implication_arcs)
-    out = IpdsInstance(n, edges, prop, inst.pre_selected, inst.excluded,
-                       booster_edges=boosters)
-    return Transform(out, 0, provenance)
+        a, p1, p2, c = (b.add(("arc_gadget", role, (x, y)))
+                        for role in ("hub", "pendant", "pendant", "gate"))
+        gadget = ((x, a), (a, p1), (a, p2), (c, y))
+        boosters.extend(gadget)
+        edges.extend([*gadget, (p1, c), (p2, c)])
+    return b.build(edges, kind=IpdsInstance, booster_edges=boosters)
 
 
 def eliminate_booster_edges(inst):
@@ -360,32 +329,21 @@ def eliminate_booster_edges(inst):
     A fresh hub b with two plain leaves is inserted once (shift +1); it is
     in some minimum solution, so each subdivision vertex starts observed
     and relays observation between its endpoints exactly like the booster
-    rule did. Requires implication arcs to be gone.
+    rule did. Without booster edges nothing is added and the shift is 0.
+    The output is always a plain PdsInstance. Requires implication arcs
+    to be gone.
     """
     if inst.implication_arcs:
         raise ValueError("eliminate implication arcs before booster edges")
-    if not inst.booster_edges:
-        return Transform(inst, 0, {v: ("kept", v) for v in range(inst.n)})
-    n = inst.n
-    edge_set = set(inst.edges) - set(inst.booster_edges)
-    edges = list(edge_set)
-    prop = list(inst.propagating)
-    provenance = {v: ("kept", v) for v in range(n)}
-    hub, l1, l2 = n, n + 1, n + 2
-    n += 3
-    prop.extend([True] * 3)
-    provenance[hub] = ("booster_hub",)
-    provenance[l1] = ("hub_leaf",)
-    provenance[l2] = ("hub_leaf",)
-    edges.extend([(hub, l1), (hub, l2)])
-    for x, y in sorted(inst.booster_edges):
-        mid = n
-        n += 1
-        prop.append(True)
-        provenance[mid] = ("subdivision", (x, y))
-        edges.extend([(x, mid), (mid, y), (mid, hub)])
-    out = PdsInstance(n, edges, prop, inst.pre_selected, inst.excluded)
-    return Transform(out, 1, provenance)
+    b = _Builder(inst)
+    edges = [e for e in inst.edges if e not in inst.booster_edges]
+    if inst.booster_edges:
+        hub = b.add(("booster_hub",))
+        edges.extend((hub, b.add(("hub_leaf",))) for _ in range(2))
+        for x, y in sorted(inst.booster_edges):
+            mid = b.add(("subdivision", (x, y)))
+            edges.extend([(x, mid), (mid, y), (mid, hub)])
+    return b.build(edges, shift=1 if inst.booster_edges else 0)
 
 
 def pds_to_simple(inst):
@@ -397,18 +355,11 @@ def pds_to_simple(inst):
     if isinstance(inst, IpdsInstance) and (inst.booster_edges
                                            or inst.implication_arcs):
         raise ValueError("plain instance required")
-    n = inst.n
+    b = _Builder(inst)
     edges = list(inst.edges)
-    provenance = {v: ("kept", v) for v in range(n)}
-    for v in range(inst.n):
-        if not inst.propagating[v]:
-            leaf = n
-            n += 1
-            edges.append((v, leaf))
-            provenance[leaf] = ("propagation_blocker", v)
-    assert n == inst.n + sum(1 for p in inst.propagating if not p)
-    out = PdsInstance(n, edges, [True] * n, inst.pre_selected, inst.excluded)
-    return Transform(out, 0, provenance)
+    edges.extend((v, b.add(("propagation_blocker", v)))
+                 for v in range(inst.n) if not inst.propagating[v])
+    return b.build(edges, propagating=None)
 
 
 @dataclass
@@ -445,13 +396,9 @@ def full_chain_detailed(circuit):
     all-propagating unannotated instance has optimum w + shift.
     """
     stages = [wmcs_to_ipds_ext(circuit)]
-    stages.append(ipds_ext_to_ipds(stages[-1].output))
-    stages.append(eliminate_implication_arcs(stages[-1].output))
-    stages.append(eliminate_booster_edges(stages[-1].output))
-    last = stages[-1].output
-    if isinstance(last, IpdsInstance):
-        last = last.to_pds()
-    stages.append(pds_to_simple(last))
+    for step in (ipds_ext_to_ipds, eliminate_implication_arcs,
+                 eliminate_booster_edges, pds_to_simple):
+        stages.append(step(stages[-1].output))
     out = stages[-1].output
     assert all(out.propagating)
     assert not out.pre_selected and not out.excluded

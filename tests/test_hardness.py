@@ -9,7 +9,7 @@ from powerdom import (eliminate_booster_edges, eliminate_implication_arcs,
 from powerdom.bruteforce import is_power_dominating, observed_set
 from powerdom.errors import InfeasibleInstanceError, ParseError
 from powerdom.hardness import Circuit, IpdsInstance
-from powerdom.instance import generate_random
+from powerdom.instance import PdsInstance, generate_random
 
 from conftest import random_circuit, random_ipds_instance
 
@@ -46,7 +46,6 @@ def test_wmcs_min_weight():
     assert wmcs_min_weight(parse_circuit(OR2)) == 1
     assert wmcs_min_weight(parse_circuit(
         "in a\nin b\nin c\nand g a b c\nout o g")) == 3
-    assert wmcs_min_weight(parse_circuit(AND2), k_max=1) is None
 
 
 def test_circuit_validation():
@@ -57,6 +56,23 @@ def test_circuit_validation():
                  ("h", ("or", ("x",))), ("o", ("out", ("g",)))])  # h dangles
     with pytest.raises(ValueError):
         Circuit([("x", ("in", ()))])  # no output
+    with pytest.raises(ValueError, match="duplicate node name 'g'"):
+        Circuit([("x", ("in", ())), ("g", ("or", ("x",))),
+                 ("g", ("and", ("x",))), ("o", ("out", ("g",)))])
+    with pytest.raises(ParseError) as err:
+        parse_circuit("in x\nor g x\n\nand g x\nout o g")
+    assert err.value.line == 4
+
+
+def test_ipds_instance_validation():
+    inst = IpdsInstance(3, [(0, 1)], booster_edges=[(1, 0)],
+                        implication_arcs=[(2, 1), (0, 1), (2, 1)])
+    assert inst.booster_edges == {(0, 1)}
+    assert inst.implication_arcs == ((2, 1), (0, 1))  # first occurrences
+    for bad in ({"booster_edges": [(1, 2)]}, {"implication_arcs": [(1, 1)]},
+                {"implication_arcs": [(0, 3)]}):
+        with pytest.raises(ValueError):
+            IpdsInstance(3, [(0, 1)], **bad)
 
 
 def test_circuit_roundtrip():
@@ -164,9 +180,10 @@ def test_eliminate_booster_edges():
                                 with_xy=False)
     tr = eliminate_booster_edges(none)
     assert tr.output == none and tr.shift == 0
+    assert type(tr.output) is PdsInstance
     k2 = IpdsInstance(2, [(0, 1)], booster_edges=[(0, 1)])
     tr = eliminate_booster_edges(k2)
-    assert tr.shift == 1
+    assert tr.shift == 1 and type(tr.output) is PdsInstance
     assert ipds_gamma(tr.output) == ipds_gamma(k2) + 1
     two = IpdsInstance(3, [(0, 1), (1, 2)], booster_edges=[(0, 1), (1, 2)])
     tr = eliminate_booster_edges(two)
@@ -218,6 +235,60 @@ def test_pds_to_simple_random():
         except InfeasibleInstanceError:
             g2 = None
         assert g1 == g2
+
+
+def test_transform_sizes_and_roles():
+    # Every output vertex has exactly one role, ids 0..n-1.
+    def check(tr, n):
+        assert tr.output.n == n
+        assert sorted(tr.provenance) == list(range(n))
+
+    for seed in range(100):
+        c = random_circuit(seed)
+        gates = [ch for kind, ch in c.nodes.values() if kind == "and"]
+        check(wmcs_to_ipds_ext(c),
+              len(c.nodes) + len(gates) + sum(map(len, gates)))
+    for seed in range(200):
+        inst = random_ipds_instance(seed)
+        n, x, y = inst.n, len(inst.pre_selected), len(inst.excluded)
+        # leaves without Y, else (n+1) copies plus the clique over V\Y
+        check(ipds_ext_to_ipds(inst),
+              (n + 1) * n + n - y + 2 * x if y else n + 2 * x)
+        check(eliminate_implication_arcs(inst),
+              n + 4 * len(inst.implication_arcs))
+        inst = random_ipds_instance(seed, with_arcs=False)
+        boosters = len(inst.booster_edges)
+        check(eliminate_booster_edges(inst),
+              n + 3 + boosters if boosters else n)
+        inst = random_ipds_instance(seed, with_arcs=False,
+                                    with_boosters=False)
+        check(pds_to_simple(inst), n + inst.propagating.count(False))
+
+
+def test_kept_vertices_keep_labels():
+    def labelled(inst):
+        return IpdsInstance(
+            inst.n, inst.edges, inst.propagating, inst.pre_selected,
+            inst.excluded, {v: f"bus{v}" for v in range(inst.n)},
+            inst.booster_edges, inst.implication_arcs)
+
+    kept = {}
+    for seed in range(60):
+        full = labelled(random_ipds_instance(seed))
+        no_arcs = labelled(random_ipds_instance(seed, with_arcs=False))
+        plain = labelled(random_ipds_instance(seed, with_arcs=False,
+                                              with_boosters=False))
+        for step, inst in ((ipds_ext_to_ipds, full),
+                           (eliminate_implication_arcs, full),
+                           (eliminate_booster_edges, no_arcs),
+                           (pds_to_simple, plain)):
+            tr = step(inst)
+            labels = {vid: inst.labels[role[1]]
+                      for vid, role in tr.provenance.items()
+                      if role[0] == "kept"}
+            assert tr.output.labels == labels
+            kept[step] = kept.get(step, 0) + len(labels)
+    assert len(kept) == 4 and all(kept.values())
 
 
 def test_full_chain_small_circuits():
