@@ -5,18 +5,19 @@ self-contained observation closure. No code is shared with the
 incremental engine or the solver, so these results are an independent
 check of both.
 
-The closure works on edge arrays. Each round counts every vertex's
-unobserved neighbours with one `np.bincount` over the directed edges,
-lets each observed propagating vertex with exactly one of them observe
-it, and lets the observed tail of every arc observe its head; a booster
-edge is an arc each way and an implication arc is one arc. Every rule is
-monotone, so applying them all in one batched round is sound, and plain
-instances are the special case with no arcs. The closure is also
-idempotent, so candidate selections are seeded with the union of
-precomputed single-vertex closures.
+The closure works on Python int bitsets. It keeps each vertex's
+neighbour mask, closed neighbourhood and arc heads; a booster edge is an
+arc each way and an implication arc is one arc, so plain instances are
+the special case with no arcs. Closing a set runs a worklist: each newly
+observed vertex fires its arcs and re-tests propagation at the
+propagating vertices of its closed neighbourhood, the only ones whose
+rule it can enable. A vertex propagates when it is observed and its
+neighbour mask meets the unobserved mask in exactly one bit. Every rule
+is monotone and the closure is idempotent, so
+closure(closure(S) | N[v]) = closure(S | {v}): `oracle_pds` walks the
+subsets depth first and extends each prefix's closed set by one vertex.
 
-numpy is imported inside the functions that use it, so importing
-`powerdom` or running its solver does not load it.
+Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -27,67 +28,83 @@ from .errors import GuardExceededError, InfeasibleInstanceError
 from .instance import SolutionSet
 
 
-def _pairs(pairs):
-    """(tails, heads) arrays of a list of vertex pairs."""
-    import numpy as np
-    array = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return array[:, 0], array[:, 1]
+def _members(mask):
+    """Vertex ids of the set bits of `mask`, ascending."""
+    return [v for v, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
 class _Closure:
-    """Observation closure of one instance, over directed edge arrays."""
+    """Observation closure of one instance, over int bitsets."""
 
     def __init__(self, inst):
-        import numpy as np
-        self.n = inst.n
-        edges = sorted(inst.edges)
-        self.src, self.dst = _pairs(edges + [(v, u) for u, v in edges])
-        self.propagating = np.array(inst.propagating, dtype=bool)
-        boosters = sorted(getattr(inst, "booster_edges", ()))
-        self.tail, self.head = _pairs(
-            boosters + [(v, u) for u, v in boosters]
-            + list(getattr(inst, "implication_arcs", ())))
+        self.full = (1 << inst.n) - 1
+        self.closed = [(v, *ws) for v, ws in enumerate(inst.adj)]
+        self.nbr = [sum(1 << w for w in ws) for ws in inst.adj]
+        # The vertices whose propagation a newly observed w can enable.
+        self.watch = [tuple(u for u in hood if inst.propagating[u])
+                      for hood in self.closed]
+        self.heads = [[] for _ in range(inst.n)]
+        for u, v in getattr(inst, "booster_edges", ()):
+            self.heads[u].append(v)
+            self.heads[v].append(u)
+        for u, v in getattr(inst, "implication_arcs", ()):
+            self.heads[u].append(v)
 
-    def seed(self, selected):
-        """Selected vertices and their neighbours."""
-        import numpy as np
-        chosen = np.zeros(self.n, dtype=bool)
-        chosen[list(selected)] = True
-        obs = chosen.copy()
-        obs[self.dst[chosen[self.src]]] = True
-        return obs
-
-    def fixpoint(self, obs):
-        """Close `obs` under propagation and the arcs; `obs` is not changed."""
-        import numpy as np
-        while True:
-            unobs = ~obs
-            pending = unobs[self.dst]
-            counts = np.bincount(self.src[pending], minlength=self.n)
-            sources = obs & self.propagating & (counts == 1)
-            targets = np.concatenate([
-                self.dst[pending & sources[self.src]],
-                self.head[obs[self.tail] & unobs[self.head]]])
-            if not targets.size:
-                return obs
-            obs = obs.copy()
-            obs[targets] = True
+    def extend(self, obs, selected):
+        """Close the closed bitset `obs` after adding the closed
+        neighbourhoods of `selected`. Works on the unobserved mask, so a
+        propagation test is one AND."""
+        nbr, watch, heads = self.nbr, self.watch, self.heads
+        unobs = self.full ^ obs
+        work = []
+        for s in selected:
+            for w in self.closed[s]:
+                if unobs >> w & 1:
+                    unobs ^= 1 << w
+                    work.append(w)
+        while work:
+            w = work.pop()
+            for h in heads[w]:
+                if unobs >> h & 1:
+                    unobs ^= 1 << h
+                    work.append(h)
+            for u in watch[w]:
+                if not unobs >> u & 1:
+                    rest = nbr[u] & unobs
+                    if rest and not rest & (rest - 1):
+                        unobs ^= rest
+                        work.append(rest.bit_length() - 1)
+        return self.full ^ unobs
 
     def observed(self, selected):
-        return self.fixpoint(self.seed(selected))
+        return self.extend(0, selected)
 
 
 def observed_set(inst, selected):
     """Fixpoint of the domination, propagation, booster and implication
     rules, as a frozenset. Instances without booster edges or implication
     arcs are the plain special case."""
-    import numpy as np
-    obs = _Closure(inst).observed(selected)
-    return frozenset(np.flatnonzero(obs).tolist())
+    return frozenset(_members(_Closure(inst).observed(selected)))
 
 
 def is_power_dominating(inst, selected):
-    return bool(_Closure(inst).observed(selected).all())
+    rules = _Closure(inst)
+    return rules.observed(selected) == rules.full
+
+
+def _first_cover(rules, undecided, start, t, obs):
+    """Lexicographically first t vertices of undecided[start:] whose
+    closed neighbourhoods close the closed set `obs` to every vertex, or
+    None."""
+    if t == 0:
+        return () if obs == rules.full else None
+    for i in range(start, len(undecided) - t + 1):
+        v = undecided[i]
+        rest = _first_cover(rules, undecided, i + 1, t - 1,
+                            rules.extend(obs, (v,)))
+        if rest is not None:
+            return (v, *rest)
+    return None
 
 
 def oracle_pds(inst, k_max=None, max_undecided=25):
@@ -116,15 +133,11 @@ def oracle_pds(inst, k_max=None, max_undecided=25):
         t_cap = min(t_cap, k_max - len(base))
 
     rules = _Closure(inst)
-    closure = {v: rules.observed([v]) for v in undecided}
     base_obs = rules.observed(base)
     for t in range(t_cap + 1):
-        for extra in combinations(undecided, t):
-            obs = base_obs
-            for v in extra:
-                obs = obs | closure[v]
-            if rules.fixpoint(obs).all():
-                return len(base) + t, SolutionSet(base | frozenset(extra))
+        extra = _first_cover(rules, undecided, 0, t, base_obs)
+        if extra is not None:
+            return len(base) + t, SolutionSet(base | frozenset(extra))
     raise InfeasibleInstanceError(
         "no feasible solution" + (f" of size <= {k_max}" if k_max is not None else ""))
 

@@ -161,12 +161,6 @@ class IpdsInstance(PdsInstance):
                 raise ValueError(f"arc ({u}, {v}) references a missing vertex")
         self.implication_arcs = tuple(dict.fromkeys(arcs))
 
-    def to_pds(self):
-        if self.booster_edges or self.implication_arcs:
-            raise ValueError("instance still has booster edges or arcs")
-        return PdsInstance(self.n, self.edges, self.propagating,
-                           self.pre_selected, self.excluded, self.labels)
-
     def __eq__(self, other):
         if not isinstance(other, IpdsInstance):
             return NotImplemented

@@ -121,8 +121,8 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
     which ask nothing of the hitting set.
 
     The fort sweeps draw their orders, one after another, from a stdlib
-    `random.Random(seed)`; the solver imports no numpy, which only the
-    brute-force oracles and `generate_random` load.
+    `random.Random(seed)`; the solver imports no numpy, which only
+    `generate_random` loads.
     """
     t0 = time.perf_counter()
     bounds = []

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +8,7 @@ from powerdom import (PdsInstance, enumerate_minimal_forts, is_power_dominating,
 from powerdom.bruteforce import observed_set
 from powerdom.errors import GuardExceededError, InfeasibleInstanceError
 from powerdom.hardness import IpdsInstance
+from powerdom.instance import SolutionSet
 
 from conftest import (gridlike_graph, path_graph, random_instance,
                       random_ipds_instance, star_graph)
@@ -116,6 +118,37 @@ def test_closure_matches_one_firing_at_a_time():
             expected = reference_observed(inst, sel)
             assert observed_set(inst, sel) == expected
             assert is_power_dominating(inst, sel) == (len(expected) == inst.n)
+
+
+def reference_oracle(inst, k_max=None):
+    """(gamma, witness) of the first selection, by size and then
+    lexicographically, that `reference_observed` finds dominating, or None."""
+    undecided = inst.undecided()
+    cap = len(undecided) if k_max is None else k_max - len(inst.pre_selected)
+    for t in range(cap + 1):
+        for extra in combinations(undecided, t):
+            selected = inst.pre_selected | frozenset(extra)
+            if len(reference_observed(inst, selected)) == inst.n:
+                return len(selected), SolutionSet(selected)
+    return None
+
+
+def test_oracle_witness_matches_naive_enumeration():
+    cases = [random_instance(seed, n_max=9) for seed in range(120)]
+    cases += [random_ipds_instance(seed, n_max=7) for seed in range(120)]
+    checked = 0
+    for inst in cases:
+        optimum = reference_oracle(inst)
+        gamma = inst.n if optimum is None else optimum[0]
+        for k_max in (None, *range(gamma + 1)):
+            expected = reference_oracle(inst, k_max)
+            if expected is None:
+                with pytest.raises(InfeasibleInstanceError):
+                    oracle_pds(inst, k_max=k_max)
+            else:
+                assert oracle_pds(inst, k_max=k_max) == expected
+                checked += 1
+    assert checked > 200
 
 
 def test_oracle_ipds_arc_directions():

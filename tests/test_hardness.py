@@ -209,12 +209,12 @@ def test_eliminate_booster_random():
 def test_pds_to_simple():
     p3 = generate_random(3, 2, 0.0, seed=0)
     assert pds_to_simple(p3).output.n == p3.n  # identity when all propagate
-    mid = IpdsInstance(3, [(0, 1), (1, 2)], propagating=[True, False, True])
-    tr = pds_to_simple(mid.to_pds())
+    mid = PdsInstance(3, [(0, 1), (1, 2)], propagating=[True, False, True])
+    tr = pds_to_simple(mid)
     assert tr.output.n == 4 and all(tr.output.propagating)
-    assert oracle_pds(tr.output)[0] == oracle_pds(mid.to_pds())[0] == 1
-    star_np = IpdsInstance(4, [(0, 1), (0, 2), (0, 3)],
-                           propagating=[False] * 4).to_pds()
+    assert oracle_pds(tr.output)[0] == oracle_pds(mid)[0] == 1
+    star_np = PdsInstance(4, [(0, 1), (0, 2), (0, 3)],
+                          propagating=[False] * 4)
     tr = pds_to_simple(star_np)
     assert tr.output.n == 8
     assert oracle_pds(tr.output)[0] == oracle_pds(star_np)[0]

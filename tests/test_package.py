@@ -27,22 +27,35 @@ def test_one_public_name_per_callable():
 
 
 def test_solver_path_imports_no_numpy():
-    # A fresh interpreter imports powerdom, solves and sweeps forts with
-    # numpy never loaded; the oracle and the generator then load it.
+    # A fresh interpreter imports powerdom, solves, sweeps forts and runs
+    # the brute-force oracle and closure with numpy never loaded; only the
+    # random generator then loads it.
     script = textwrap.dedent("""
         import json
         import sys
 
-        from powerdom import (find_forts, generate_random, oracle_pds,
-                              parse_instance, solve, write_instance)
+        from powerdom import (InfeasibleInstanceError, find_forts,
+                              generate_random, is_power_dominating,
+                              observed_set, oracle_pds, parse_instance,
+                              solve, write_instance)
 
         inst = parse_instance(sys.stdin.read())
-        gamma = solve(inst, reductions="none").gamma_p
+        selected = solve(inst, reductions="none").solution.selected
         forts = [sorted(f) for f in find_forts(inst, frozenset(), seed=0)]
         solver_loaded = "numpy" in sys.modules
+        try:
+            oracle_pds(inst, k_max=2, max_undecided=None)
+            refuted = False
+        except InfeasibleInstanceError:
+            refuted = True
+        observed = len(observed_set(inst, selected))
+        dominating = is_power_dominating(inst, selected)
+        oracle_loaded = "numpy" in sys.modules
         small = generate_random(12, 15, 0.3, seed=1)
         print(json.dumps({
-            "solver_loaded": solver_loaded, "gamma": gamma, "forts": forts,
+            "solver_loaded": solver_loaded, "oracle_loaded": oracle_loaded,
+            "gamma": len(selected), "forts": forts, "refuted": refuted,
+            "observed": observed, "dominating": dominating,
             "graph": write_instance(small), "oracle": oracle_pds(small)[0],
             "loaded": "numpy" in sys.modules}))
         """)
@@ -53,8 +66,10 @@ def test_solver_path_imports_no_numpy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert not out["solver_loaded"] and out["loaded"]
+    assert not out["solver_loaded"] and not out["oracle_loaded"]
+    assert out["loaded"]
     assert out["gamma"] == solve(inst, reductions="none").gamma_p == 15
+    assert out["refuted"] and out["dominating"] and out["observed"] == inst.n
     forts = find_forts(inst, frozenset(), seed=0)
     assert forts and out["forts"] == [sorted(f) for f in forts]
     small = generate_random(12, 15, 0.3, seed=1)
