@@ -16,8 +16,6 @@ neighbour mask meets the unobserved mask in exactly one bit. Every rule
 is monotone and the closure is idempotent, so
 closure(closure(S) | N[v]) = closure(S | {v}): `oracle_pds` walks the
 subsets depth first and extends each prefix's closed set by one vertex.
-
-Nothing here imports numpy.
 """
 
 from __future__ import annotations

@@ -73,10 +73,9 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     order, from stdlib `random`: `seed` is an int that seeds a
     `random.Random`, or such a generator itself. Python keeps `random()`
     of an int seed the same across versions, so a fixed seed reproduces
-    the fort list on any platform; numpy is not imported. Once the
-    `perf_counter` `deadline` has passed, the sweep stops and the forts
-    found so far are returned, possibly none; the last may be left less
-    minimized.
+    the fort list on any platform. Once the `perf_counter` `deadline` has
+    passed, the sweep stops and the forts found so far are returned,
+    possibly none; the last may be left less minimized.
     """
     hitting_set = frozenset(hitting_set)
     base = hitting_set | inst.pre_selected

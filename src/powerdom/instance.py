@@ -8,6 +8,8 @@ pre-selected nor excluded are called undecided.
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -261,33 +263,36 @@ def write_instance(inst):
     return "\n".join(lines) + "\n"
 
 
+def _floyd(rng, k, total):
+    # k distinct ints of range(total) by Floyd's algorithm, one random() each.
+    picks = set()
+    for j in range(total - k, total):
+        t = int(rng.random() * (j + 1))
+        picks.add(j if t in picks else t)
+    return picks
+
+
 def generate_random(n, m, frac_nonprop=0.0, seed=0):
     """Random simple graph with exactly m edges, sampled without replacement.
 
     floor(frac_nonprop * n) vertices are marked non-propagating. Pure
-    function of its arguments: uses a PCG64 stream seeded with `seed`.
-    numpy is imported here, not with the module, so that the solver runs
-    without it.
+    function of its arguments: it uses only `random()` draws of a stdlib
+    `random.Random(seed)`, whose stream Python keeps the same across
+    versions for an int seed.
     """
     max_m = n * (n - 1) // 2
-    if m > max_m:
-        raise ValueError(f"m={m} exceeds simple-graph maximum {max_m}")
+    if not 0 <= m <= max_m:
+        raise ValueError(f"m={m} is outside the simple-graph range 0..{max_m}")
     if not 0.0 <= frac_nonprop <= 1.0:
         raise ValueError("frac_nonprop must be within [0, 1]")
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    picks = np.asarray(rng.choice(max_m, size=m, replace=False) if m else [],
-                       dtype=np.int64)
+    rng = random.Random(seed)
     # Pair index i, in the order (0, 1), (0, 2), ..., (1, 2), ..., is the
     # pair (u, u + 1 + i - start[u]) of the last row u starting at or
     # before i; row u starts at u(2n - u - 1) / 2.
-    rows = np.arange(n, dtype=np.int64)
-    start = rows * (2 * n - rows - 1) // 2
-    us = np.searchsorted(start, picks, side="right") - 1
-    edges = list(zip(us.tolist(), (us + 1 + picks - start[us]).tolist()))
-    k = int(frac_nonprop * n)
-    nonprop = rng.choice(n, size=k, replace=False) if k else []
-    prop = [True] * n
-    for v in nonprop:
-        prop[int(v)] = False
-    return PdsInstance(n, edges, prop)
+    start = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    edges = []
+    for i in _floyd(rng, m, max_m):
+        u = bisect_right(start, i) - 1
+        edges.append((u, u + 1 + i - start[u]))
+    nonprop = _floyd(rng, int(frac_nonprop * n), n)
+    return PdsInstance(n, edges, [v not in nonprop for v in range(n)])

@@ -121,8 +121,7 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
     which ask nothing of the hitting set.
 
     The fort sweeps draw their orders, one after another, from a stdlib
-    `random.Random(seed)`; the solver imports no numpy, which only
-    `generate_random` loads.
+    `random.Random(seed)`.
     """
     t0 = time.perf_counter()
     bounds = []
@@ -208,9 +207,8 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     short, so a timed-out run has proved what it can on every part it
     reached. Each part's seed is the 64-bit draw of that index from a
     stdlib `random.Random(seed)`, so its result does not depend on the
-    order; no step of the solve imports numpy. A part's `bounds` go into
-    the result's `bounds` as soon as it returns, timed from the call's
-    start.
+    order. A part's `bounds` go into the result's `bounds` as soon as it
+    returns, timed from the call's start.
     """
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit is not None else None

@@ -1,8 +1,10 @@
-import numpy as np
+import random
+
 import pytest
 
-from powerdom import PdsInstance, generate_random, parse_instance, write_instance
+from powerdom import PdsInstance, cli, parse_instance, write_instance
 from powerdom.errors import ParseError
+from powerdom.instance import _floyd, generate_random
 
 from conftest import random_instance
 
@@ -106,21 +108,20 @@ def test_generate_random_basic():
 
 
 def test_generate_random_deterministic():
-    a = generate_random(8, 10, 0.5, seed=42)
-    b = generate_random(8, 10, 0.5, seed=42)
-    assert a == b
-    assert sum(1 for p in a.propagating if not p) == 4
+    # random() of an int seed is the same on every supported Python.
+    inst = generate_random(7, 9, 0.5, seed=0)
+    assert inst.edges == ((0, 5), (1, 2), (1, 3), (1, 4), (1, 6), (2, 5),
+                          (2, 6), (4, 6), (5, 6))
+    assert inst.propagating == (True, True, False, False, True, False, True)
 
 
 def _generate_by_enumeration(n, m, frac_nonprop, seed):
     """`generate_random` by listing every vertex pair and indexing it."""
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(n * (n - 1) // 2, size=m, replace=False) if m else []
+    rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    k = int(frac_nonprop * n)
-    nonprop = set(rng.choice(n, size=k, replace=False).tolist()) if k else ()
-    return PdsInstance(n, [pairs[i] for i in picks],
-                       [v not in nonprop for v in range(n)])
+    edges = [pairs[i] for i in _floyd(rng, m, len(pairs))]
+    nonprop = _floyd(rng, int(frac_nonprop * n), n)
+    return PdsInstance(n, edges, [v not in nonprop for v in range(n)])
 
 
 def test_generate_random_matches_pair_enumeration():
@@ -129,11 +130,14 @@ def test_generate_random_matches_pair_enumeration():
         for m in {0, min(1, max_m), max(0, n - 1), max_m}:
             for frac in (0.0, 0.5):
                 for seed in range(5):
-                    assert (generate_random(n, m, frac, seed)
-                            == _generate_by_enumeration(n, m, frac, seed)), \
-                        (n, m, frac, seed)
+                    inst = generate_random(n, m, frac, seed)
+                    assert inst == _generate_by_enumeration(n, m, frac, seed)
+                    assert inst.m == m and inst.propagating.count(False) \
+                        == int(frac * n), (n, m, frac, seed)
 
 
 def test_generate_random_guard():
-    with pytest.raises(ValueError):
-        generate_random(3, 4, 0.0, seed=0)
+    for n, m, frac in [(3, 4, 0.0), (5, -1, 0.0), (5, 3, -0.1), (5, 3, 1.5)]:
+        with pytest.raises(ValueError):
+            generate_random(n, m, frac, seed=0)
+    assert cli.main(["gen", "5", "-1"]) == 1

@@ -26,38 +26,35 @@ def test_one_public_name_per_callable():
     assert [group for group in names.values() if len(group) > 1] == []
 
 
-def test_solver_path_imports_no_numpy():
-    # A fresh interpreter imports powerdom, solves, sweeps forts and runs
-    # the brute-force oracle and closure with numpy never loaded; only the
-    # random generator then loads it.
+def test_library_runs_with_numpy_blocked():
+    # A fresh interpreter in which any numpy import fails imports
+    # powerdom, generates, solves, sweeps forts, runs the brute-force
+    # oracle and closure, and prints a graph through `powerdom gen`.
     script = textwrap.dedent("""
         import json
         import sys
 
-        from powerdom import (InfeasibleInstanceError, find_forts,
+        sys.modules["numpy"] = None  # any numpy import now fails
+        from powerdom import (InfeasibleInstanceError, cli, find_forts,
                               generate_random, is_power_dominating,
-                              observed_set, oracle_pds, parse_instance,
-                              solve, write_instance)
+                              observed_set, oracle_pds, parse_instance, solve)
 
         inst = parse_instance(sys.stdin.read())
         selected = solve(inst, reductions="none").solution.selected
         forts = [sorted(f) for f in find_forts(inst, frozenset(), seed=0)]
-        solver_loaded = "numpy" in sys.modules
         try:
             oracle_pds(inst, k_max=2, max_undecided=None)
             refuted = False
         except InfeasibleInstanceError:
             refuted = True
-        observed = len(observed_set(inst, selected))
-        dominating = is_power_dominating(inst, selected)
-        oracle_loaded = "numpy" in sys.modules
         small = generate_random(12, 15, 0.3, seed=1)
         print(json.dumps({
-            "solver_loaded": solver_loaded, "oracle_loaded": oracle_loaded,
             "gamma": len(selected), "forts": forts, "refuted": refuted,
-            "observed": observed, "dominating": dominating,
-            "graph": write_instance(small), "oracle": oracle_pds(small)[0],
-            "loaded": "numpy" in sys.modules}))
+            "observed": len(observed_set(inst, selected)),
+            "dominating": is_power_dominating(inst, selected),
+            "oracle": oracle_pds(small)[0]}))
+        sys.exit(cli.main(["gen", "12", "15", "--frac-nonprop", "0.3",
+                           "--seed", "1"]))
         """)
     inst = gridlike_graph(90, 11)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -65,13 +62,12 @@ def test_solver_path_imports_no_numpy():
                           input=write_instance(inst), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert not out["solver_loaded"] and not out["oracle_loaded"]
-    assert out["loaded"]
+    line, printed = proc.stdout.split("\n", 1)
+    out = json.loads(line)
     assert out["gamma"] == solve(inst, reductions="none").gamma_p == 15
     assert out["refuted"] and out["dominating"] and out["observed"] == inst.n
     forts = find_forts(inst, frozenset(), seed=0)
     assert forts and out["forts"] == [sorted(f) for f in forts]
     small = generate_random(12, 15, 0.3, seed=1)
-    assert out["graph"] == write_instance(small)
+    assert printed == write_instance(small)
     assert out["oracle"] == oracle_pds(small)[0]
