@@ -23,26 +23,46 @@ def closed_neighborhood(inst, vertices):
 
 
 def _reselect(state, pool, deadline=None):
-    """Select each unselected pool vertex in ascending id order unless that
-    completes the state, stopping once the deadline has passed. A select
-    that completes the state is rolled back; each kept one leaves its
-    checkpoint open.
+    """Fort minimisation: select each unselected pool vertex in ascending
+    id order unless that completes the state, stopping once the deadline
+    has passed; returns the fort left, the unobserved set. Kept selects
+    stay on the state, under whatever checkpoint the caller opened.
 
-    A vertex whose closed neighbourhood is already observed is skipped
-    without a select: if N[p] lies in the closure of S, the closure of
-    S, p and any later T equals that of S and T, so selecting p could
-    neither complete the state nor change the unobserved set left.
+    Only the pool vertices in N[F] are walked, F being the unobserved
+    set when minimisation starts. Observation only grows here, so a
+    vertex whose closed neighbourhood is observed stays so. Such a vertex
+    is skipped without a select: if N[p] lies in the closure of S, the
+    closure of S, p and any later T equals that of S and T, so selecting
+    p could neither complete the state nor change the unobserved set
+    left. Every vertex outside N[F] is of this kind from the start.
+
+    A vertex is also skipped when its select is known to complete the
+    state. The closure of a selection is the propagation closure of the
+    observed set plus the closed neighbourhoods selected, and that
+    closure is monotone in the set it starts from. So when a rolled-back
+    trial newly dominated exactly one vertex t, the observed set plus t
+    closes to the whole graph, and so does any later, larger observed
+    set plus t: every later p with t in N[p] completes the state too.
     """
+    adj = state.inst.adj
     observed, unobs_count = state.observed, state.unobs_count
-    for p in sorted(pool):
+    start = state.unobserved_vertices()
+    completes = set()
+    for p in sorted(closed_neighborhood(state.inst, start)):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        if p in state.selected or (observed[p] and not unobs_count[p]):
+        if (p not in pool or p in state.selected or p in completes
+                or (observed[p] and not unobs_count[p])):
             continue
-        mark = state.checkpoint()
-        state.select(p)
-        if state.is_complete():
-            state.rollback(mark)
+        if state._select_unless_complete(p):
+            continue
+        # The state is back as it was, so the unobserved part of N[p] is
+        # what the trial newly dominated.
+        if unobs_count[p] + (not observed[p]) == 1:
+            t = p if not observed[p] else next(
+                w for w in adj[p] if not observed[w])
+            completes.update((t, *adj[t]))
+    return frozenset(t for t in start if not observed[t])
 
 
 def find_forts(inst, hitting_set, seed=0, deadline=None):
@@ -59,14 +79,20 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     X, and at least one fort is returned whenever H with X is not
     already a solution.
 
+    Minimisation (`_reselect`) makes selects in proportion to the fort,
+    not to the pool: it walks only the removed vertices in N[F], F being
+    the unobserved set the removal left, and it skips, without a select,
+    every vertex whose select is known to complete the state. Both give
+    the forts that trying every removed vertex in id order gives.
+
     The sweep starts at its first fort. Observation only grows with the
     selection, so the removals before the first fort all keep a
     solution, and the first fort comes at the step j where H, X and the
     vertices after order[j] leave a vertex unobserved but order[j] with
-    them does not. A backward pass finds j: it observes from H and X,
-    selects the order from the back until the graph is observed, and
-    rolls that last select back, which leaves the state of step j with
-    no deselect. The pass is not checked against the deadline; it costs
+    them does not. A backward pass finds j: it observes from H and X and
+    selects the order from the back, each select undone as soon as it
+    would observe the graph, which leaves the state of step j with no
+    deselect. The pass is not checked against the deadline; it costs
     O(n + m), as one full observation does.
 
     The order sorts the pool by one `random()` draw per vertex, in pool
@@ -87,12 +113,8 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     if state.is_complete():
         return []
     for first in range(len(order) - 1, -1, -1):
-        mark = state.checkpoint()
-        state.select(order[first])
-        if state.is_complete():
-            state.rollback(mark)
+        if not state._select_unless_complete(order[first]):
             break
-        state.release(mark)
     else:
         raise InfeasibleInstanceError(
             "selecting every non-excluded vertex does not observe the graph")
@@ -109,15 +131,13 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
                 state.select(order[i - 1])
                 removed.discard(order[i - 1])
             state.deselect(u)
-        removed.add(u)
         prev_was_solution = state.is_complete()
-        if prev_was_solution:
-            continue
-        mark = state.checkpoint()
-        _reselect(state, removed - {u}, deadline)
-        fort = state.unobserved_vertices()
-        state.rollback(mark)
-        if fort not in seen:
-            seen.add(fort)
-            forts.append(fort)
+        if not prev_was_solution:
+            mark = state.checkpoint()
+            fort = _reselect(state, removed, deadline)
+            state.rollback(mark)
+            if fort not in seen:
+                seen.add(fort)
+                forts.append(fort)
+        removed.add(u)
     return forts

@@ -29,17 +29,23 @@ class HittingSetInstance:
     Sets are intersected with the universe on entry; an intersection that
     comes up empty cannot be hit and raises `InfeasibleInstanceError`.
     Duplicate sets are dropped; supersets of existing sets are kept, and
-    the exact search drops them from its kernels.
+    the exact search drops them from its kernels. Each set is also kept
+    as a bitmask, bit i standing for the i-th smallest element of the
+    universe, built once on entry for the exact search.
     """
 
     def __init__(self, universe, sets=()):
         self.universe = frozenset(universe)
+        self._elements = sorted(self.universe)
+        self._index = {v: i for i, v in enumerate(self._elements)}
         self.sets = []
+        self._masks = []
         self._seen = set()
         self.add_sets(sets)
 
     def add_sets(self, new_sets):
         """Grow the family; returns self for chaining."""
+        index = self._index
         for s in new_sets:
             cut = frozenset(s) & self.universe
             if not cut:
@@ -49,6 +55,7 @@ class HittingSetInstance:
                 continue
             self._seen.add(cut)
             self.sets.append(cut)
+            self._masks.append(sum(1 << index[v] for v in cut))
         return self
 
     def __len__(self):
@@ -186,10 +193,9 @@ def solve_exact(hs, lower_bound_hint=0, deadline=None):
     `time.perf_counter()` value `deadline`, the next branching node raises
     `HittingSetTimeout`.
     """
-    elems = sorted(hs.universe)
-    index = {v: i for i, v in enumerate(elems)}
-    masks = [sum(1 << index[v] for v in s) for s in hs.sets]
+    elems = hs._elements
     # Every set is non-empty, so the whole universe is a hitting set and
     # the search, whose limit admits it, always finds one.
-    mask, size = _search(masks, len(elems) + 1, lower_bound_hint, deadline)
+    mask, size = _search(hs._masks, len(elems) + 1, lower_bound_hint,
+                         deadline)
     return frozenset(v for i, v in enumerate(elems) if mask >> i & 1), size

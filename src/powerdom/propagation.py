@@ -35,11 +35,18 @@ as it was at the checkpoint in time proportional to the work undone,
 without the invalidate-and-repair of deselect. Deselect and the graph
 edits are not allowed while a checkpoint is open, because the trail
 cannot undo them.
+
+Fort minimisation keeps a select only when the graph is still not fully
+observed after it. `_select_unless_complete` does that in one call: it
+selects under a checkpoint of its own and rolls it back when the state
+completes. The observed set is the propagation closure of the selected
+closed neighbourhoods, so it depends only on the set propagation starts
+from, and it is monotone in that set: if the observed set O plus a set D
+closes to the whole graph, so does any larger observed set plus D. This
+is what lets `forts._reselect` skip a select it knows would complete.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 class ObservationState:
@@ -106,19 +113,34 @@ class ObservationState:
         return frozenset(v for v in range(self.inst.n) if not self.observed[v])
 
     # -- internal helpers -------------------------------------------------
+    #
+    # The marking of a newly observed vertex is written out in `_observe`
+    # and again in `_propagate`, and the unmarking in `_invalidate` and in
+    # `rollback`: a method call per vertex on these paths cost more than
+    # the marking itself.
 
-    def _mark(self, v, queue):
-        self.observed[v] = True
-        self.observed_count += 1
-        if self._levels:
-            self._trail.append(v)
-        prop = self.inst.propagating
-        for u in self.inst.adj[v]:
-            self.unobs_count[u] -= 1
-            if self.observed[u] and prop[u] and self.unobs_count[u] == 1:
-                queue.append(u)
-        if prop[v] and self.unobs_count[v] == 1:
-            queue.append(v)
+    def _observe(self, vertices, queue):
+        """Mark each unobserved vertex of `vertices`, in order, queueing
+        the vertices that may now propagate."""
+        observed, unobs_count = self.observed, self.unobs_count
+        adj, prop = self.inst.adj, self.inst.propagating
+        trail = self._trail if self._levels else None
+        marked = 0
+        for v in vertices:
+            if observed[v]:
+                continue
+            observed[v] = True
+            marked += 1
+            if trail is not None:
+                trail.append(v)
+            for u in adj[v]:
+                c = unobs_count[u] - 1
+                unobs_count[u] = c
+                if c == 1 and observed[u] and prop[u]:
+                    queue.append(u)
+            if prop[v] and unobs_count[v] == 1:
+                queue.append(v)
+        self.observed_count += marked
 
     def _dominate(self, v, queue):
         """Select v and observe its closed neighbourhood, queueing the
@@ -126,63 +148,73 @@ class ObservationState:
         self.selected.add(v)
         if self._levels:
             self._trail.append(~v)
-        observed, dom_count = self.observed, self.dom_count
-        for t in (v, *self.inst.adj[v]):
+        hood = (v, *self.inst.adj[v])
+        dom_count = self.dom_count
+        for t in hood:
             dom_count[t] += 1
-            if not observed[t]:
-                self._mark(t, queue)
+        self._observe(hood, queue)
 
     def _propagate(self, queue):
-        prop = self.inst.propagating
-        while queue:
-            u = queue.popleft()
-            if not (self.observed[u] and prop[u] and self.unobs_count[u] == 1):
+        """Run propagation from the queued vertices, first in first out;
+        every queued vertex is observed and propagating."""
+        observed, unobs_count = self.observed, self.unobs_count
+        adj, prop = self.inst.adj, self.inst.propagating
+        parent, child = self.prop_parent, self.prop_child
+        trail = self._trail if self._levels else None
+        marked = 0
+        for u in queue:  # the loop also takes what it appends
+            if unobs_count[u] != 1:
                 continue
-            for w in self.inst.adj[u]:
-                if not self.observed[w]:
-                    self._mark(w, queue)
-                    self.prop_parent[w] = u
-                    self.prop_child[u] = w
+            for w in adj[u]:
+                if not observed[w]:
                     break
-
-    def _unlink(self, w):
-        """Drop the link from w's propagation parent, if it has one."""
-        u = self.prop_parent[w]
-        if u != -1:
-            self.prop_child[u] = -1
-            self.prop_parent[w] = -1
-
-    def _unmark(self, v):
-        self._unlink(v)
-        self.observed[v] = False
-        self.observed_count -= 1
-        for u in self.inst.adj[v]:
-            self.unobs_count[u] += 1
+            observed[w] = True
+            marked += 1
+            if trail is not None:
+                trail.append(w)
+            for x in adj[w]:
+                c = unobs_count[x] - 1
+                unobs_count[x] = c
+                if c == 1 and observed[x] and prop[x]:
+                    queue.append(x)
+            if prop[w] and unobs_count[w] == 1:
+                queue.append(w)
+            parent[w] = u
+            child[u] = w
+        self.observed_count += marked
 
     def _invalidate(self, seeds):
         """Drop each seed's propagation link and unmark it if nothing
         dominates it, then do the same to every observation propagated
         through an unmarked vertex; returns the unmarked vertices."""
-        observed, adj = self.observed, self.inst.adj
-        dom_count, prop_child = self.dom_count, self.prop_child
+        observed, unobs_count = self.observed, self.unobs_count
+        adj, dom_count = self.inst.adj, self.dom_count
+        parent, child = self.prop_parent, self.prop_child
         # A link u -> w depends on u and on all other neighbours of u
         # being observed, so unmarking t kills the link out of t and out of
         # each of t's neighbours. A vertex that stays dominated keeps
         # everything derived through it.
         invalid = []
         for t in seeds:
-            self._unlink(t)
+            u = parent[t]
+            if u != -1:
+                child[u] = parent[t] = -1
             if observed[t] and not dom_count[t]:
-                self._unmark(t)
+                observed[t] = False
+                for x in adj[t]:
+                    unobs_count[x] += 1
                 invalid.append(t)
         for t in invalid:
             for u in (t, *adj[t]):
-                w = prop_child[u]
+                w = child[u]
                 if w != -1:
-                    self._unlink(w)
+                    child[u] = parent[w] = -1
                     if not dom_count[w]:
-                        self._unmark(w)
+                        observed[w] = False
+                        for x in adj[w]:
+                            unobs_count[x] += 1
                         invalid.append(w)
+        self.observed_count -= len(invalid)
         return invalid
 
     def _repair(self, invalid, ends=()):
@@ -190,15 +222,16 @@ class ObservationState:
         whose own rule inputs an edit changed: they may now be dominated or
         propagate."""
         observed, adj, dom_count = self.observed, self.inst.adj, self.dom_count
-        queue = deque()
+        prop = self.inst.propagating
+        queue = []
         for t in invalid:
             for u in adj[t]:
-                if observed[u]:
+                if observed[u] and prop[u]:
                     queue.append(u)
         for t in ends:
-            if not observed[t] and dom_count[t]:
-                self._mark(t, queue)
-            if observed[t]:
+            if dom_count[t]:
+                self._observe((t,), queue)
+            if observed[t] and prop[t]:
                 queue.append(t)
         self._propagate(queue)
 
@@ -222,10 +255,22 @@ class ObservationState:
         """Add v to the selection and advance the fixpoint incrementally."""
         if v in self.selected:
             raise ValueError(f"vertex {v} already selected")
-        queue = deque()
+        queue = []
         self._dominate(v, queue)
         self._propagate(queue)
         return self
+
+    def _select_unless_complete(self, v):
+        """Select v unless that completes the state, in which case the
+        state is left exactly as it was; returns whether v was kept. The
+        select is recorded for an open checkpoint like any other."""
+        mark = self.checkpoint()
+        self.select(v)
+        if self.observed_count == self.inst.n:
+            self.rollback(mark)
+            return False
+        self.release(mark)
+        return True
 
     def deselect(self, v):
         """Remove v from the selection.
@@ -293,16 +338,27 @@ class ObservationState:
         it with every checkpoint opened after it."""
         start = self._levels[mark]
         del self._levels[mark:]
-        trail, dom_count, adj = self._trail, self.dom_count, self.inst.adj
-        while len(trail) > start:
-            v = trail.pop()
+        trail, selected, observed = self._trail, self.selected, self.observed
+        dom_count, unobs_count = self.dom_count, self.unobs_count
+        adj = self.inst.adj
+        parent, child = self.prop_parent, self.prop_child
+        unmarked = 0
+        for v in reversed(trail[start:]):
             if v < 0:
                 v = ~v
-                self.selected.discard(v)
+                selected.discard(v)
                 for t in (v, *adj[v]):
                     dom_count[t] -= 1
             else:
-                self._unmark(v)
+                u = parent[v]
+                if u != -1:
+                    child[u] = parent[v] = -1
+                observed[v] = False
+                unmarked += 1
+                for t in adj[v]:
+                    unobs_count[t] += 1
+        del trail[start:]
+        self.observed_count -= unmarked
         return self
 
     def release(self, mark):
@@ -321,7 +377,7 @@ class ObservationState:
 def observe_from(inst, selected):
     """Fresh ObservationState for the given selection set."""
     state = ObservationState(inst)
-    queue = deque()
+    queue = []
     for v in sorted(set(selected)):
         state._dominate(v, queue)
     state._propagate(queue)

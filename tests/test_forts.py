@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from powerdom import enumerate_minimal_forts, find_forts, is_fort, oracle_pds
+from powerdom import (enumerate_minimal_forts, find_forts, generate_random,
+                      is_fort, oracle_pds)
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.forts import _reselect, closed_neighborhood
 from powerdom.instance import PdsInstance
@@ -150,8 +151,11 @@ def test_sweep_order_is_pinned():
     assert _sweep_order(inst, (), 0) == (frozenset(), order)
 
 
-def _select_deselect_find_forts(inst, hitting_set, seed):
-    """Reference sweep: undo each re-selection with deselect."""
+def _select_deselect_find_forts(inst, hitting_set, seed, tried=None):
+    """Reference sweep: undo each re-selection with deselect. Every
+    removed vertex is tried; `tried`, when given, collects those whose
+    closed neighbourhood was not yet observed, which are the selects a
+    minimisation without the completing-vertex skip makes."""
     base, order = _sweep_order(inst, hitting_set, seed)
     state = observe_from(inst, base | set(order))
     forts, removed, prev_was_solution = [], set(), True
@@ -166,6 +170,9 @@ def _select_deselect_find_forts(inst, hitting_set, seed):
             continue
         kept = []
         for p in sorted(removed - {u}):
+            if tried is not None and (
+                    not state.observed[p] or state.unobs_count[p]):
+                tried.append(p)
             state.select(p)
             if state.is_complete():
                 state.deselect(p)
@@ -177,6 +184,38 @@ def _select_deselect_find_forts(inst, hitting_set, seed):
         if fort not in forts:
             forts.append(fort)
     return forts
+
+
+def test_large_forts_match_and_skip_completing_selects(monkeypatch):
+    # Sparse random graphs whose forts start with tens of vertices: the
+    # sweep still equals the reference that tries every removed vertex,
+    # and the completing-vertex skip spares some of its selects.
+    calls = []
+    select_unless_complete = ObservationState._select_unless_complete
+
+    def counted(state, v):
+        calls.append(v)
+        return select_unless_complete(state, v)
+
+    monkeypatch.setattr(ObservationState, "_select_unless_complete", counted)
+    rng = random.Random(3)
+    forts_seen = skipped = 0
+    for s in range(8):
+        inst = generate_random(120, 140, 0.0, seed=s)
+        for hitting in (frozenset(), frozenset(rng.sample(range(120), 6))):
+            order, first = _first_fort_step(inst, hitting, s)
+            calls.clear()
+            forts = find_forts(inst, hitting, seed=s)
+            tried = []
+            assert forts == _select_deselect_find_forts(inst, hitting, s,
+                                                        tried)
+            # The backward pass makes one select per vertex from the
+            # order's back down to the first fort's.
+            walked = len(calls) - (len(order) - first)
+            assert walked <= len(tried)
+            skipped += len(tried) - walked
+            forts_seen += len(forts)
+    assert forts_seen > 300 and skipped > 100
 
 
 def _fresh_observe_find_forts(inst, hitting_set, seed):

@@ -262,6 +262,46 @@ def test_deselect_in_a_dense_selection_matches_recompute():
     assert stayed > 300 and rollbacks > 100
 
 
+def test_select_unless_complete_keeps_or_undoes_exactly():
+    # A select that completes the state leaves it exactly as it was; any
+    # other is kept and agrees with a recomputation. Under an open
+    # checkpoint both kinds are undone by its rollback.
+    rng = random.Random(6)
+    kept = undone = 0
+    for seed in range(60):
+        inst = random_instance(seed, n_max=30, m_max=50, x_max=0, y_max=0)
+        state = observe_from(inst, ())
+        for _ in range(25):
+            if state.selected and rng.random() < 0.3:
+                state.deselect(rng.choice(sorted(state.selected)))
+            outer = rng.random() < 0.3 and (state.checkpoint(),
+                                            _snapshot(state))
+            for _ in range(rng.randint(1, 4)):
+                free = [v for v in range(inst.n) if v not in state.selected]
+                if not free:
+                    break
+                v = rng.choice(free)
+                snap = _snapshot(state)
+                if state._select_unless_complete(v):
+                    kept += 1
+                    assert v in state.selected and not state.is_complete()
+                    ref = observe_from(inst, state.selected)
+                    assert state.observed_vertices() == ref.observed_vertices()
+                    assert state.observed_vertices() == observed_set(
+                        inst, state.selected)
+                    _links_are_a_forest(state)
+                    _exhausted(state)
+                else:
+                    undone += 1
+                    assert _snapshot(state) == snap
+                    assert len(observed_set(inst, state.selected | {v})) \
+                        == inst.n
+            if outer:
+                state.rollback(outer[0])
+                assert _snapshot(state) == outer[1]
+    assert kept > 1000 and undone > 1000
+
+
 def test_nested_checkpoint_at_an_empty_trail():
     # An inner checkpoint taken before anything is recorded must not
     # close the outer one when rolled back.
