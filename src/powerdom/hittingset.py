@@ -9,12 +9,36 @@ a kernel (Weihe, "Covering trains by stations or the power of data
 reduction", ALEX 1998): elements of singleton sets are taken, supersets
 of other sets are dropped, and an element is dropped when another one
 lies in every set it lies in. The kernel is then split into components
-that share no element, each solved on its own.
+that share no element, each solved on its own by branching on the
+elements of a smallest set, those that hit the most sets first.
+
+Element dominance reads one table, `within[e]`: the AND of the sets that
+hold e. Another element v lies in every set of e exactly when v is in
+`within[e]`; v then lies in strictly more sets than e exactly when
+`within[v]` lacks e, because a set holding v but not e is the only way
+to have more. So e is dropped when `within[e]` holds a lower id, or a v
+whose own entry lacks e; no set counts are needed.
+
+The table is carried rather than rebuilt. An entry changes only when a
+set that holds its element is deleted, and then only grows; deleting
+elements from sets just clears their bits. A kernel round therefore
+recomputes, and re-tests, only the elements of the sets it deleted
+(sets hit by a singleton, and supersets less the subset that removed
+them), and a child node starts from its parent's table and does the same
+for the sets its take branch hit. Any other element e that was not
+dominated stays so: its own entry only loses bits, and every v in it
+still has e in its entry. Carried entries keep the bits of elements that have left the
+family; only freshly recomputed entries are ever scanned, and a carried
+one is only asked for the bit of an element that is still there.
+Likewise a kernel's sets are never one inside another, so a node checks
+for supersets only among pairs with a set that lost elements.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import insort
+from itertools import chain
 
 from .errors import InfeasibleInstanceError
 
@@ -62,58 +86,92 @@ class HittingSetInstance:
         return len(self.sets)
 
 
-def _bits(x):
-    while x:
-        low = x & -x
-        yield low
-        x ^= low
+def _order(m):
+    return m.bit_count(), m
 
 
-def _kernel(sets):
-    """Reduce a family of element masks until no rule applies. Returns the
-    elements of singleton sets, which every hitting set takes, and the rest
-    sorted by (size, mask), or None in its place when a set is empty."""
+def _kernel(same, changed, within=None, stale=-1):
+    """Reduce the family `same` plus `changed` of element masks until no
+    rule applies. Returns the elements of singleton sets, which every
+    hitting set takes, the rest sorted by (size, mask), or None in its
+    place when a set is empty, and the table `within` of the rest (see
+    the module docstring).
+
+    `same` must come from a kernel unchanged: sorted, with no singleton
+    and no set inside another. A node passes its parent's `within` with
+    `stale`, the union of the sets deleted since: only those elements are
+    recomputed and re-tested. With no table, every element is."""
     taken = 0
+    within = {} if within is None else dict(within)
     while True:
-        if 0 in sets:
-            return taken, None
+        if 0 in changed:
+            return taken, None, within
         units = 0
-        for m in sets:
+        for m in changed:
             if m & (m - 1) == 0:
                 units |= m
-        if units:
+        if units:  # the sets left are unchanged, so none is a singleton
             taken |= units
-            sets = [m for m in sets if not m & units]
-            continue
-        kept = []  # a superset is hit whenever its subset is
-        for m in sorted(set(sets), key=lambda m: (m.bit_count(), m)):
-            for k in kept:
-                if k & m == k:
-                    break
-            else:
-                kept.append(m)
-        # An element lying in every set of another can replace it, so the
-        # other is dropped; equal incidence keeps the lowest id. This is a
-        # strict order, so every dropped element keeps a dominator.
-        within, count = {}, {}
+            for m in chain(same, changed):
+                if m & units:
+                    stale |= m
+            same = [m for m in same if not m & units]
+            changed = [m for m in changed if not m & units]
+        # A superset is hit whenever its subset is; two sets of `same` are
+        # never one inside the other. A superset m of k changes only the
+        # entries of m's elements outside k.
+        kept = same
+        if changed:
+            new = []
+            for m in sorted(set(changed), key=_order):
+                for k in chain(new, same):
+                    if k & m == k:
+                        stale |= m & ~k
+                        break
+                else:
+                    new.append(m)
+            if not same:
+                kept = new
+            elif new:
+                kept = []
+                for m in same:
+                    for k in new:
+                        if k & m == k:
+                            stale |= m & ~k
+                            break
+                    else:
+                        kept.append(m)
+                for m in new:
+                    insort(kept, m, key=_order)
+        fresh = {}
         for m in kept:
-            rest = m
+            rest = m & stale
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                within[bit] = within.get(bit, m) & m
-                count[bit] = count.get(bit, 0) + 1
+                fresh[bit] = fresh.get(bit, m) & m
+        within.update(fresh)
+        # An element lying in every set of another can replace it, so the
+        # other is dropped; equal incidence keeps the lowest id. This is a
+        # strict order, so every dropped element keeps a dominator. A v in
+        # `within[bit]` lies in more sets than bit when `within[v]` lacks it.
         drop = 0
-        for bit, cand in within.items():
+        for bit, cand in fresh.items():
             cand &= ~bit
-            if not cand:
-                continue
-            if cand & (bit - 1) or any(count[v] > count[bit]
-                                       for v in _bits(cand)):
+            if cand & (bit - 1):
                 drop |= bit
+                continue
+            while cand:
+                v = cand & -cand
+                if not within[v] & bit:
+                    drop |= bit
+                    break
+                cand ^= v
         if not drop:
-            return taken, kept
-        sets = [m & ~drop for m in kept]
+            return taken, kept, within
+        same = [m for m in kept if not m & drop]
+        changed = [m & ~drop for m in kept if m & drop]
+        stale = 0
 
 
 def _components(sets):
@@ -138,10 +196,11 @@ def _components(sets):
     return parts
 
 
-def _search(sets, limit, floor, deadline):
-    """Smallest hitting set of `sets` with fewer than `limit` elements, as
-    (mask, size), or None. Reaching the lower bound `floor` ends the search."""
-    taken, sets = _kernel(sets)
+def _search(same, changed, limit, floor, deadline, within=None, stale=-1):
+    """Smallest hitting set of `same` plus `changed` (as `_kernel` takes
+    them) with fewer than `limit` elements, as (mask, size), or None.
+    Reaching the lower bound `floor` ends the search."""
+    taken, sets, within = _kernel(same, changed, within, stale)
     if sets is None:
         return None
     parts = _components(sets)
@@ -153,7 +212,7 @@ def _search(sets, limit, floor, deadline):
         total -= bound
         if i == len(parts) - 1:
             bound = max(bound, floor - total)
-        got = _branch(part, limit - total, bound, deadline)
+        got = _branch(part, limit - total, bound, deadline, within)
         if got is None:
             return None
         taken |= got[0]
@@ -161,16 +220,30 @@ def _search(sets, limit, floor, deadline):
     return taken, total
 
 
-def _branch(sets, limit, floor, deadline):
+def _branch(sets, limit, floor, deadline, within):
     """`_search` on a kernel with one component: take an element of a
-    smallest set, or forbid it in the branches after it."""
+    smallest set, or forbid it in the branches after it. The elements go
+    by how many sets they hit, most first, then by id. Each child starts
+    from this kernel's table `within`."""
     if deadline is not None and time.perf_counter() > deadline:
         raise HittingSetTimeout("deadline passed inside the hitting set search")
+    first = sets[0]
+    count, gone = {}, {}
+    for m in sets:
+        rest = m & first
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            count[bit] = count.get(bit, 0) + 1
+            gone[bit] = gone.get(bit, 0) | m
     best = None
     forbidden = 0
-    for bit in _bits(sets[0]):
-        got = _search([m & ~forbidden for m in sets if not m & bit],
-                      limit - 1, floor - 1, deadline)
+    for bit in sorted(count, key=lambda bit: (-count[bit], bit)):
+        cut = bit | forbidden
+        got = _search([m for m in sets if not m & cut],
+                      [m & ~forbidden for m in sets
+                       if m & forbidden and not m & bit],
+                      limit - 1, floor - 1, deadline, within, gone[bit])
         if got is not None:
             best, limit = got[0] | bit, got[1] + 1
             if limit <= floor:
@@ -183,9 +256,9 @@ def solve_exact(hs, lower_bound_hint=0, deadline=None):
     """Minimum hitting set by branch and bound on kernels. Each node reduces
     its unhit sets (see the module docstring) and solves each component
     within the budget the others' disjoint-set packing bounds leave,
-    branching on the elements of a smallest set (take vs. forbid). The
-    first dive sets the incumbent. Ties go to the lowest id, so results
-    are deterministic.
+    branching on the elements of a smallest set (take vs. forbid), most
+    sets hit first. The first dive sets the incumbent. Ties go to the
+    lowest id, so results are deterministic.
 
     Returns (hitting set, size). `lower_bound_hint` may come from a
     previous solve of a subset family (the optimum only grows when sets
@@ -196,6 +269,6 @@ def solve_exact(hs, lower_bound_hint=0, deadline=None):
     elems = hs._elements
     # Every set is non-empty, so the whole universe is a hitting set and
     # the search, whose limit admits it, always finds one.
-    mask, size = _search(hs._masks, len(elems) + 1, lower_bound_hint,
+    mask, size = _search([], hs._masks, len(elems) + 1, lower_bound_hint,
                          deadline)
     return frozenset(v for i, v in enumerate(elems) if mask >> i & 1), size

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from powerdom import PdsInstance, oracle_pds
+from powerdom import PdsInstance, oracle_pds, solver
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.hardness import Circuit, IpdsInstance
 from powerdom.instance import generate_random
@@ -131,6 +131,25 @@ def oracle_gamma(inst, **kw):
         return oracle_pds(inst, **kw)[0]
     except InfeasibleInstanceError:
         return None
+
+
+def capture_families(inst, **solve_kwargs):
+    """Every family `solve(inst, **solve_kwargs)` hands to the exact
+    hitting-set solver, in call order, as (universe, sets,
+    lower_bound_hint)."""
+    captured = []
+    exact = solver.solve_exact
+
+    def record(hs, lower_bound_hint=0, deadline=None):
+        captured.append((hs.universe, list(hs.sets), lower_bound_hint))
+        return exact(hs, lower_bound_hint, deadline)
+
+    solver.solve_exact = record
+    try:
+        solver.solve(inst, **solve_kwargs)
+    finally:
+        solver.solve_exact = exact
+    return captured
 
 
 def highs_optimum(model):

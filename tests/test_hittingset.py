@@ -1,21 +1,35 @@
 import random
 import time
-from itertools import combinations
 
 import pytest
 
-from powerdom import HittingSetInstance, solve_exact
+from conftest import capture_families, gridlike_graph, highs_optimum
+from powerdom import (HittingSetInstance, build_hitting_set_ilp, hittingset,
+                      solve_exact)
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.hittingset import HittingSetTimeout, _kernel
 
 
 def brute_minimum(universe, sets):
+    """Size of a smallest hitting set: the k-subsets of the universe for
+    k = 0, 1, ... in lexicographic order, enumerated depth first. Each
+    element carries the bitmask of the sets it hits, OR-ed along the
+    subset's prefix."""
     elems = sorted(universe)
+    hits = [sum(1 << i for i, s in enumerate(sets) if v in s) for v in elems]
+    every = (1 << len(sets)) - 1
+
+    def extends(start, k, covered):
+        if k == 0:
+            return covered == every
+        for i in range(start, len(elems) - k + 1):
+            if extends(i + 1, k - 1, covered | hits[i]):
+                return True
+        return False
+
     for k in range(len(elems) + 1):
-        for combo in combinations(elems, k):
-            chosen = set(combo)
-            if all(chosen & s for s in sets):
-                return k
+        if extends(0, k, 0):
+            return k
     return None
 
 
@@ -201,7 +215,94 @@ def test_kernel_matches_a_reference_kernel():
         families.append(sets)
     reduced = 0
     for sets in families:
-        taken, kept = _kernel(sets)
+        taken, kept, _ = _kernel([], sets)
         assert (taken, kept) == _reference_kernel(sets), sets
         reduced += kept is not None and len(kept) < len(set(sets))
     assert reduced >= 100
+
+
+def _live_table(table, kept):
+    """The entries of a kernel table for the elements of `kept`, cut to
+    those elements' bits."""
+    live = 0
+    for m in kept:
+        live |= m
+    return {bit: w & live for bit, w in table.items() if bit & live}
+
+
+def random_mask_family(rng):
+    """Masks of two to four elements, mostly pairs and triples, over 6-14
+    elements, from half to twice as many masks as elements."""
+    width = rng.randint(6, 14)
+    return [sum(1 << i for i in rng.sample(range(width),
+                                           rng.choice((2, 2, 3, 3, 4))))
+            for _ in range(rng.randint(width // 2, 2 * width))]
+
+
+def test_carried_kernel_matches_a_fresh_kernel(monkeypatch):
+    # At every node the search visits, the kernel and table it carries
+    # over from the parent must be what a kernel of that node's whole
+    # family computes from nothing, itself checked against the set-based
+    # reference kernel.
+    kernel = hittingset._kernel
+    carried = 0
+
+    def checked_kernel(same, changed, within=None, stale=-1):
+        nonlocal carried
+        got = kernel(same, changed, within, stale)
+        family = same + changed
+        want = kernel([], family)
+        assert got[:2] == want[:2] == _reference_kernel(family), family
+        if got[1] is not None:
+            assert _live_table(got[2], got[1]) == _live_table(want[2],
+                                                              want[1])
+        carried += within is not None
+        return got
+
+    monkeypatch.setattr(hittingset, "_kernel", checked_kernel)
+    for seed in range(300):
+        solve_exact(big_random_family(seed))
+    rng = random.Random(11)
+    for _ in range(300):
+        sets = random_mask_family(rng)
+        hittingset._search([], sets, len(sets) + 1, 0, None)
+    assert carried >= 1000
+
+
+def test_branching_takes_the_element_hitting_most_sets_first(monkeypatch):
+    # A cycle of pairs with two chords: no singleton, no set inside
+    # another and no element lying in every set of another, so the kernel
+    # keeps every set. The smallest set is {0, 1}; element 0 hits two
+    # sets, element 1 three (its chord {1, 4}).
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (2, 5)]
+    masks = sorted(((1 << u) | (1 << v) for u, v in pairs),
+                   key=lambda m: (m.bit_count(), m))
+    assert _kernel([], masks)[:2] == (0, masks)
+    search = hittingset._search
+    calls = []
+
+    def recorded(same, changed, *args):
+        calls.append((same, changed))
+        return search(same, changed, *args)
+
+    monkeypatch.setattr(hittingset, "_search", recorded)
+    assert hittingset._search([], masks, 7, 0, None)[1] == 3
+    # The first child takes element 1: it keeps exactly the sets without it.
+    assert calls[1] == ([m for m in masks if not m & 0b10], [])
+
+
+def test_captured_families_match_highs():
+    # Families as the IHS loop builds them, on grid-like graphs with no
+    # reductions: the exact optimum, warm-started from the loop's hint,
+    # equals HiGHS on the covering ILP, and the set returned hits every row.
+    checked = 0
+    for n, seed in ((100, 2), (120, 1), (150, 2), (150, 5)):
+        for universe, sets, hint in capture_families(
+                gridlike_graph(n, seed), reductions="none", seed=0):
+            hs = HittingSetInstance(universe, sets)
+            hit, size = solve_exact(hs, lower_bound_hint=hint)
+            assert size == len(hit) >= hint
+            assert all(hit & s for s in hs.sets)
+            assert size == highs_optimum(build_hitting_set_ilp(hs))[0]
+            checked += 1
+    assert checked >= 15
