@@ -34,7 +34,8 @@ def split(inst):
     Each part's edges come from its members' adjacency plus the edges
     between pre-selected vertices on its border. The work is linear in
     the instance apart from those X-to-X edges, which are looked at once
-    for each part whose border holds one of their ends.
+    for each part whose border holds one of their ends. A part that holds
+    every vertex is the instance itself.
     """
     x_set = inst.pre_selected
     x_adj = {x: [w for w in inst.adj[x] if w in x_set] for x in x_set}
@@ -62,6 +63,9 @@ def split(inst):
         border = sorted({w for v in members for w in inst.adj[v]
                          if w in x_set})
         vertices = sorted(members + border)
+        if len(vertices) == inst.n:
+            decomp.parts.append(SubInstance(inst, tuple(vertices), component))
+            continue
         to_sub = {v: i for i, v in enumerate(vertices)}
         edges = [(to_sub[v], to_sub[w]) for v in members
                  for w in inst.adj[v] if v < w or w in x_set]

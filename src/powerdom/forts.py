@@ -65,7 +65,7 @@ def _reselect(state, pool, deadline=None):
     return frozenset(t for t in start if not observed[t])
 
 
-def find_forts(inst, hitting_set, seed=0, deadline=None):
+def find_forts(inst, hitting_set, seed=0, deadline=None, state=None):
     """Candidate-sequence fort heuristic.
 
     Splits the vertices into X (pre-selected), Y (excluded), H (the
@@ -102,6 +102,10 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     the fort list on any platform. Once the `perf_counter` `deadline` has
     passed, the sweep stops and the forts found so far are returned,
     possibly none; the last may be left less minimized.
+
+    `state`, when given, must equal `observe_from(inst, H | X)`; the sweep
+    runs on it in place of a fresh one and leaves it changed. The forts
+    are the same.
     """
     hitting_set = frozenset(hitting_set)
     base = hitting_set | inst.pre_selected
@@ -109,7 +113,8 @@ def find_forts(inst, hitting_set, seed=0, deadline=None):
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     key = rng.random
     order = sorted(pool, key=lambda v: key())
-    state = observe_from(inst, base)
+    if state is None:
+        state = observe_from(inst, base)
     if state.is_complete():
         return []
     for first in range(len(order) - 1, -1, -1):

@@ -179,12 +179,18 @@ def _components(sets):
     of a greedy packing of pairwise disjoint sets as its lower bound."""
     parts = []
     while sets:
-        elems, grown = 0, sets[0]
-        while grown != elems:
-            elems = grown
-            for m in sets:
+        # Each pass absorbs, as it scans, the sets left that meet the part
+        # so far; a pass that absorbs nothing ends the part.
+        elems, rest, absorbed = sets[0], sets[1:], True
+        while absorbed:
+            absorbed, left = False, []
+            for m in rest:
                 if m & elems:
-                    grown |= m
+                    elems |= m
+                    absorbed = True
+                else:
+                    left.append(m)
+            rest = left
         part = [m for m in sets if m & elems]
         used = bound = 0
         for m in part:
@@ -192,7 +198,7 @@ def _components(sets):
                 used |= m
                 bound += 1
         parts.append((part, bound))
-        sets = [m for m in sets if not m & elems]
+        sets = rest
     return parts
 
 

@@ -62,7 +62,7 @@ class ObservationState:
     unobserved. Each report repairs the fixpoint locally and returns the
     vertices whose observed flag it changed, possibly with repeats and
     vertices that changed back. The edits raise while a checkpoint is
-    open.
+    open, and so does `copy()`.
 
     `checkpoint()` opens a checkpoint and returns its mark; `rollback(mark)`
     restores the state to what it was when that checkpoint was opened and
@@ -327,6 +327,19 @@ class ObservationState:
         self._no_checkpoint("flag_cleared")
         child = self.prop_child[v]
         return self._edit([] if child == -1 else [child], ())
+
+    def copy(self):
+        """Independent state over the same graph, equal to this one."""
+        self._no_checkpoint("copy")
+        other = ObservationState.__new__(ObservationState)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if isinstance(value, (list, set)):
+                value = value.copy()
+            setattr(other, name, value)
+        other._trail = []
+        other._levels = []
+        return other
 
     def checkpoint(self):
         """Open a checkpoint; returns the mark to roll back to."""

@@ -867,7 +867,8 @@ def reduce_full(inst, rules=None, deadline=None):
     a Dom or NecN pass tries, so a deadline that has already passed
     leaves the input as it is. Once it passes, the kernel reached so far
     is returned. That kernel is still safe, because every applied event
-    is. Returns (kernel, log, stats).
+    is. Returns (kernel, log, stats). With no rule enabled no work state
+    is built, and the kernel is `inst` itself, with identity ids.
     """
     if rules is None:
         rules = RULE_SUBSETS["all"]
@@ -880,10 +881,13 @@ def reduce_full(inst, rules=None, deadline=None):
         for rule in rules:
             if not isinstance(rule, RuleId):
                 raise ValueError(f"{rule!r} is not a reduction rule")
-    driver = _Driver(inst, rules, deadline)
-    driver.run()
-    kernel, to_original = driver.work.snapshot()
-    log = ReductionLog(inst, driver.events, to_original)
+    events, kernel, to_original = [], inst, tuple(range(inst.n))
+    if rules:
+        driver = _Driver(inst, rules, deadline)
+        driver.run()
+        events = driver.events
+        kernel, to_original = driver.work.snapshot()
+    log = ReductionLog(inst, events, to_original)
     stats = {
         "rule_counts": log.rule_counts(),
         "events": len(log.events),

@@ -49,7 +49,7 @@ class SolveResult:
     bounds: list = field(default_factory=list)
 
 
-def greedy_complete(inst, h=(), deadline=None):
+def greedy_complete(inst, h=(), deadline=None, state=None):
     """Extend h plus the pre-selected set to a feasible solution, then prune.
 
     Repeatedly selects the undecided vertex covering the most unobserved
@@ -59,7 +59,13 @@ def greedy_complete(inst, h=(), deadline=None):
     vertex's gain is read in O(1) off the observation state, as its count
     of unobserved neighbours plus one if it is unobserved itself; only
     the vertices tied at the top gain scan their neighbours for the
-    propagating tie-break.
+    propagating tie-break. Selecting only lowers gains, so a vertex whose
+    gain reaches 0 leaves the scan. The last vertex added is kept without
+    a test: dropping it restores the state before its pick, which was
+    not complete.
+
+    `state`, when given, must equal `observe_from(inst, h | X)`; it is
+    used in place of a fresh one and left changed. The result is the same.
 
     The `time.perf_counter()` value `deadline` is checked before every
     pick but the first, so an instance one vertex observes still gets it.
@@ -68,7 +74,8 @@ def greedy_complete(inst, h=(), deadline=None):
     exactly when the instance is.
     """
     base = frozenset(h) | inst.pre_selected
-    state = observe_from(inst, base)
+    if state is None:
+        state = observe_from(inst, base)
     observed, unobs_count = state.observed, state.unobs_count
     adj, propagating = inst.adj, inst.propagating
     free = [v for v in inst.undecided() if v not in base]
@@ -81,13 +88,17 @@ def greedy_complete(inst, h=(), deadline=None):
                 raise InfeasibleInstanceError(
                     "the undecided vertices together leave a vertex unobserved")
             return SolutionSet(everything)
-        top, tied = 0, []
+        top, tied, live = 0, [], []
         for v in free:
             gain = unobs_count[v] + (not observed[v])
+            if not gain:
+                continue
+            live.append(v)
             if gain > top:
                 top, tied = gain, [v]
-            elif gain == top and gain:
+            elif gain == top:
                 tied.append(v)
+        free = live
         if not tied:
             raise InfeasibleInstanceError(
                 "no undecided vertex can extend the observed set")
@@ -96,7 +107,7 @@ def greedy_complete(inst, h=(), deadline=None):
         state.select(best)
         free.remove(best)
         added.append(best)
-    for v in reversed(added):
+    for v in reversed(added[:-1]):
         state.deselect(v)
         if not state.is_complete():
             state.select(v)
@@ -121,7 +132,10 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
     which ask nothing of the hitting set.
 
     The fort sweeps draw their orders, one after another, from a stdlib
-    `random.Random(seed)`.
+    `random.Random(seed)`. Each round builds the observation fixpoint of
+    X and the hitting set once. A complete one makes them the incumbent;
+    otherwise the greedy completion takes a copy of it and the fort sweep
+    the state itself.
     """
     t0 = time.perf_counter()
     bounds = []
@@ -149,8 +163,9 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
     def expired():
         return deadline is not None and time.perf_counter() > deadline
 
-    def grow(hitting_set):
-        forts = find_forts(sub, hitting_set, seed=rng, deadline=deadline)
+    def grow(hitting_set, state=None):
+        forts = find_forts(sub, hitting_set, seed=rng, deadline=deadline,
+                           state=state)
         before = len(hs)
         hs.add_sets(closed_neighborhood(sub, f) for f in forts)
         # A sweep the deadline cut short may find nothing new; the loop
@@ -179,22 +194,26 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
             bound("lower", lower)
         if lower > len(best):
             raise AssertionError("lower bound exceeded a feasible upper bound")
-        # Once `lower` ties the incumbent, only a completion of size
-        # `lower` would be kept, and the completion has that size exactly
-        # when the hitting set observes the graph on its own, so only that
-        # case is checked.
-        if lower < len(best):
-            completion = greedy_complete(sub, hit, deadline=deadline)
+        # A complete fixpoint is what the greedy completion would return,
+        # of size `lower`. Once `lower` ties the incumbent, no other
+        # completion would be kept.
+        state = observe_from(sub, sub.pre_selected | hit)
+        if state.is_complete():
+            shrunk = lower < len(best)
+            best = SolutionSet(sub.pre_selected | hit)
+            if shrunk:
+                bound("upper", len(best))
+        elif lower < len(best):
+            completion = greedy_complete(sub, hit, deadline=deadline,
+                                         state=state.copy())
             if len(completion) < len(best):
                 best = completion
                 bound("upper", len(best))
-        elif observe_from(sub, sub.pre_selected | hit).is_complete():
-            best = SolutionSet(sub.pre_selected | hit)
         if lower == len(best):
             # Bound sandwich: the incumbent is optimal.
             return result(OPTIMAL, best, lower, lower, lower,
                           len(hs), solves)
-        grow(hit)
+        grow(hit, state)
 
 
 def solve(inst, reductions="all", seed=0, time_limit=None):

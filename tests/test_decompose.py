@@ -19,7 +19,11 @@ def test_split_connected_no_x_is_identity():
     inst = path_graph(5)
     decomp = split(inst)
     assert len(decomp.parts) == 1
-    assert decomp.parts[0].instance.n == 5
+    assert decomp.parts[0].instance is inst
+    assert decomp.parts[0].to_parent == tuple(range(5))
+    # Pre-selected vertices on the border of the one part keep it whole.
+    inst = path_graph(5, pre_selected=[0, 4])
+    assert split(inst).parts[0].instance is inst
 
 
 def test_split_two_triangles():

@@ -272,6 +272,9 @@ def test_sweep_matches_a_from_scratch_sweep():
     compared = 0
     for inst, hitting, seed, forts in _sweep_corpus():
         assert forts == _fresh_observe_find_forts(inst, hitting, seed)
+        # So does a sweep on a passed state of H and X.
+        state = observe_from(inst, hitting | inst.pre_selected)
+        assert find_forts(inst, hitting, seed=seed, state=state) == forts
         compared += len(forts)
     assert compared > 300
 

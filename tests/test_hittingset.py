@@ -306,3 +306,57 @@ def test_captured_families_match_highs():
             assert size == highs_optimum(build_hitting_set_ilp(hs))[0]
             checked += 1
     assert checked >= 15
+
+
+def _rescanning_components(sets):
+    """Reference split: grows each part by rescanning the whole family
+    once per growth step."""
+    parts = []
+    while sets:
+        elems, grown = 0, sets[0]
+        while grown != elems:
+            elems = grown
+            for m in sets:
+                if m & elems:
+                    grown |= m
+        part = [m for m in sets if m & elems]
+        used = bound = 0
+        for m in part:
+            if not m & used:
+                used |= m
+                bound += 1
+        parts.append((part, bound))
+        sets = [m for m in sets if not m & elems]
+    return parts
+
+
+def test_components_match_a_rescanning_split(monkeypatch):
+    # On random kernels, and at every node of the exact solves of the
+    # families the IHS loop builds on grid-like graphs.
+    rng = random.Random(12)
+    split_parts = 0
+    for _ in range(500):
+        # One to three blocks on disjoint elements.
+        family = sorted({m << 14 * i for i in range(rng.randint(1, 3))
+                         for m in random_mask_family(rng)},
+                        key=hittingset._order)
+        got = hittingset._components(family)
+        assert got == _rescanning_components(family)
+        split_parts += len(got) > 1
+    components = hittingset._components
+    checked = 0
+
+    def checked_components(sets):
+        nonlocal checked
+        got = components(sets)
+        assert got == _rescanning_components(sets)
+        checked += 1
+        return got
+
+    monkeypatch.setattr(hittingset, "_components", checked_components)
+    for n, seed in ((100, 2), (150, 5)):
+        for universe, sets, hint in capture_families(
+                gridlike_graph(n, seed), reductions="none", seed=0):
+            solve_exact(HittingSetInstance(universe, sets),
+                        lower_bound_hint=hint)
+    assert split_parts > 50 and checked > 100

@@ -4,6 +4,7 @@ import pytest
 
 from powerdom import PdsInstance, observe_from
 from powerdom.bruteforce import observed_set
+from powerdom.propagation import ObservationState
 
 from conftest import cycle_graph, path_graph, random_instance, star_graph
 
@@ -413,3 +414,56 @@ def test_graph_edits_raise_while_a_checkpoint_is_open():
     graph.adj[1].discard(0)
     with pytest.raises(RuntimeError):
         state.edge_removed(0, 1)
+
+
+def _fixpoint(state):
+    """What a state holds apart from its propagation links, which depend
+    on the order of its operations."""
+    return (set(state.selected), state.observed_vertices(),
+            list(state.dom_count), list(state.unobs_count),
+            state.observed_count)
+
+
+def test_copy_is_independent_of_its_source():
+    rng = random.Random(6)
+    for seed in range(60):
+        inst = random_instance(seed, n_max=30, m_max=50, x_max=0, y_max=0)
+        source = observe_from(inst, rng.sample(range(inst.n), inst.n // 3))
+        copy = source.copy()
+        assert _snapshot(copy) == _snapshot(source)
+        # The copy shares the graph and no mutable field with its source.
+        assert copy.inst is source.inst
+        for name in ObservationState.__slots__:
+            value = getattr(source, name)
+            if isinstance(value, (list, set)):
+                assert getattr(copy, name) is not value, name
+        # Edit one, then the other; each stays what a fresh fixpoint of its
+        # own selection is.
+        for edited, other in ((copy, source), (source, copy)):
+            before = _snapshot(other)
+            for v in rng.sample(range(inst.n), min(4, inst.n)):
+                if v in edited.selected:
+                    edited.deselect(v)
+                else:
+                    edited.select(v)
+            mark = edited.checkpoint()
+            free = [v for v in range(inst.n) if v not in edited.selected]
+            if free:
+                edited.select(rng.choice(free))
+            edited.rollback(mark)
+            assert _snapshot(other) == before
+            for state in (edited, other):
+                assert _fixpoint(state) == _fixpoint(
+                    observe_from(inst, state.selected))
+                _links_are_a_forest(state)
+                _exhausted(state)
+
+
+def test_copy_raises_while_a_checkpoint_is_open():
+    state = observe_from(path_graph(4), {0})
+    mark = state.checkpoint()
+    state.select(3)
+    with pytest.raises(RuntimeError):
+        state.copy()
+    state.rollback(mark)
+    assert state.copy().selected == {0}

@@ -220,6 +220,21 @@ def test_reduce_full_idempotent():
         assert log2.events == []
 
 
+def test_reduce_full_without_a_rule_returns_its_input():
+    inst = gridlike_graph(60, 1)
+    kernel, log, stats = reduce_full(inst, "none")
+    assert kernel is inst and log.events == []
+    assert log.kernel_to_original == tuple(range(inst.n))
+    assert stats["kernel_n"] == inst.n
+    assert not any(stats["rule_counts"].values())
+    # A kernel is a fixpoint of every rule: reducing it fires nothing.
+    reduced, log, _ = reduce_full(inst)
+    assert log.events and reduced.n < inst.n
+    again, log, _ = reduce_full(reduced)
+    assert log.events == [] and again.n == reduced.n
+    assert log.kernel_to_original == tuple(range(reduced.n))
+
+
 def test_reduce_full_termination_budget():
     # Every event lowers the non-negative measure, so its starting value
     # bounds the number of events.

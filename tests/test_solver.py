@@ -9,7 +9,7 @@ from powerdom import (INFEASIBLE, OPTIMAL, TIMED_OUT, PdsInstance,
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.hittingset import HittingSetTimeout
-from powerdom.propagation import observe_from
+from powerdom.propagation import ObservationState, observe_from
 
 from conftest import (cycle_graph, disjoint_stars, grid_graph,
                       gridlike_graph, oracle_gamma, path_graph,
@@ -124,13 +124,17 @@ def test_greedy_matches_a_rescanning_greedy():
     for inst in corpus:
         undecided = inst.undecided()
         for h in ((), [v for v in undecided if rng.random() < 0.2]):
+            # A passed state of h and X gives the same completion.
+            state = observe_from(inst, inst.pre_selected | set(h))
             try:
                 expected = _rescan_greedy(inst, h)
             except InfeasibleInstanceError:
-                with pytest.raises(InfeasibleInstanceError):
-                    greedy_complete(inst, h)
+                for given in (None, state):
+                    with pytest.raises(InfeasibleInstanceError):
+                        greedy_complete(inst, h, state=given)
                 continue
             assert greedy_complete(inst, h).selected == expected
+            assert greedy_complete(inst, h, state=state).selected == expected
             compared += 1
     assert compared > 200
 
@@ -298,6 +302,63 @@ def test_grid_solves_are_seed_reproducible():
         assert a.status == OPTIMAL
         assert (a.solution, a.fort_count, a.hitting_set_solves) == \
             (b.solution, b.fort_count, b.hitting_set_solves)
+
+
+# (n, generator seed, reductions, solver seed) of a grid-like graph, and
+# its solve: gamma, solution, fort count, hitting-set solves and the
+# values of its bound events in order.
+PINNED_SOLVES = (
+    ((90, 11, "none", 0),
+     (15, {0, 1, 4, 7, 19, 30, 31, 38, 42, 50, 57, 64, 65, 69, 74}, 26, 3,
+      [("lower", 1), ("upper", 15), ("lower", 12), ("lower", 14),
+       ("lower", 15)])),
+    ((100, 3, "none", 0),
+     (14, {0, 4, 12, 16, 24, 29, 38, 44, 52, 54, 79, 81, 89, 91}, 21, 3,
+      [("lower", 1), ("upper", 15), ("lower", 13), ("upper", 14),
+       ("lower", 14)])),
+    ((300, 2, "all", 3),
+     (42, {5, 10, 11, 24, 44, 54, 66, 82, 84, 91, 92, 100, 108, 112, 114,
+           115, 118, 147, 151, 157, 158, 170, 174, 187, 191, 194, 198, 208,
+           220, 224, 227, 232, 236, 238, 246, 247, 253, 258, 265, 269, 277,
+           282}, 69, 7,
+      [("lower", 22), ("upper", 48), ("lower", 36), ("lower", 38),
+       ("upper", 45), ("lower", 41), ("lower", 42), ("upper", 44),
+       ("upper", 42)])),
+)
+
+
+def test_grid_solves_match_their_pinned_outputs():
+    # A change that only saves work must leave every output as it was.
+    for (n, gen_seed, rules, seed), pinned in PINNED_SOLVES:
+        res = solve(gridlike_graph(n, gen_seed), reductions=rules, seed=seed)
+        assert res.status == OPTIMAL
+        assert res.lower_bound == res.upper_bound == res.gamma_p
+        assert (res.gamma_p, res.solution.selected, res.fort_count,
+                res.hitting_set_solves,
+                [(kind, value) for _, kind, value in res.bounds]) == pinned
+
+
+def test_each_loop_round_builds_one_fresh_observation_state(monkeypatch):
+    # The initial greedy completion and the first fort sweep build one
+    # each; every round after a hitting-set solve shares one between its
+    # greedy completion, through a copy, and its fort sweep.
+    init = ObservationState.__init__
+    built = 0
+
+    def counted(self, inst):
+        nonlocal built
+        built += 1
+        init(self, inst)
+
+    monkeypatch.setattr(ObservationState, "__init__", counted)
+    rounds = 0
+    for n, gen_seed in ((90, 11), (100, 3), (100, 13)):
+        built = 0
+        res = ihs_kernel_solve(gridlike_graph(n, gen_seed), seed=0)
+        assert res.status == OPTIMAL
+        assert built == 2 + res.hitting_set_solves
+        rounds += res.hitting_set_solves
+    assert rounds >= 6
 
 
 def test_time_limit_bounds_the_reduction():
