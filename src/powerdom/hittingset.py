@@ -32,12 +32,24 @@ family; only freshly recomputed entries are ever scanned, and a carried
 one is only asked for the bit of an element that is still there.
 Likewise a kernel's sets are never one inside another, so a node checks
 for supersets only among pairs with a set that lost elements.
+
+The family keeps the same table for itself as its sets arrive, over its
+minimal sets: those that hold no other. A new set that holds a minimal
+one is not minimal. Otherwise the minimal sets that hold it leave, the
+entries of their elements outside it are recomputed, the one kind of
+change that makes an entry grow, and the new set ANDs itself into its
+elements' entries. The root of every exact solve therefore starts from
+the family: the minimal singletons are taken, the minimal sets after
+them are the family once its units and supersets are gone, and only the
+dominance test runs on the family's table before the kernel goes on as
+a node's would. Neither the table nor the minimal sets depend on a
+solve, so no solve has to undo what a new set changes.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import insort
+from bisect import bisect_right, insort
 from itertools import chain
 
 from .errors import InfeasibleInstanceError
@@ -52,10 +64,12 @@ class HittingSetInstance:
 
     Sets are intersected with the universe on entry; an intersection that
     comes up empty cannot be hit and raises `InfeasibleInstanceError`.
-    Duplicate sets are dropped; supersets of existing sets are kept, and
-    the exact search drops them from its kernels. Each set is also kept
-    as a bitmask, bit i standing for the i-th smallest element of the
-    universe, built once on entry for the exact search.
+    Duplicate sets are dropped; supersets of existing sets are kept in
+    `sets`, since every row counts and the ILP export writes them all.
+    For the exact search the family also keeps, as rows arrive, its
+    minimal sets as bitmasks, bit i standing for the i-th smallest element
+    of the universe, sorted by (size, mask), and the table `within` over
+    them (see the module docstring).
     """
 
     def __init__(self, universe, sets=()):
@@ -63,13 +77,14 @@ class HittingSetInstance:
         self._elements = sorted(self.universe)
         self._index = {v: i for i, v in enumerate(self._elements)}
         self.sets = []
-        self._masks = []
+        self._minimal = []
+        self._within = {}
         self._seen = set()
         self.add_sets(sets)
 
     def add_sets(self, new_sets):
         """Grow the family; returns self for chaining."""
-        index = self._index
+        index, within = self._index, self._within
         for s in new_sets:
             cut = frozenset(s) & self.universe
             if not cut:
@@ -79,8 +94,45 @@ class HittingSetInstance:
                 continue
             self._seen.add(cut)
             self.sets.append(cut)
-            self._masks.append(sum(1 << index[v] for v in cut))
+            m = sum(1 << index[v] for v in cut)
+            # The minimal sets are an antichain, so m holds one of them or
+            # lies in some of them, never both.
+            gone = 0
+            for k in self._minimal:
+                if k & m == k:
+                    break
+                if k & m == m:
+                    gone |= k
+            else:
+                if gone:
+                    self._drop_supersets(m, gone)
+                insort(self._minimal, m, key=_order)
+                rest = m
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    within[bit] = within.get(bit, m) & m
         return self
+
+    def _drop_supersets(self, m, gone):
+        """Remove the minimal sets that hold m, whose union is `gone`. The
+        entries of their elements outside m lose a set and are recomputed;
+        those inside m are ANDed with m next, which every removed set
+        holds."""
+        self._minimal = [k for k in self._minimal if k & m != m]
+        stale = gone & ~m
+        fresh = {}
+        for k in self._minimal:
+            rest = k & stale
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                fresh[bit] = fresh.get(bit, k) & k
+        while stale:
+            bit = stale & -stale
+            stale ^= bit
+            del self._within[bit]
+        self._within.update(fresh)
 
     def __len__(self):
         return len(self.sets)
@@ -151,27 +203,55 @@ def _kernel(same, changed, within=None, stale=-1):
                 rest ^= bit
                 fresh[bit] = fresh.get(bit, m) & m
         within.update(fresh)
-        # An element lying in every set of another can replace it, so the
-        # other is dropped; equal incidence keeps the lowest id. This is a
-        # strict order, so every dropped element keeps a dominator. A v in
-        # `within[bit]` lies in more sets than bit when `within[v]` lacks it.
-        drop = 0
-        for bit, cand in fresh.items():
-            cand &= ~bit
-            if cand & (bit - 1):
-                drop |= bit
-                continue
-            while cand:
-                v = cand & -cand
-                if not within[v] & bit:
-                    drop |= bit
-                    break
-                cand ^= v
+        drop = _dominated(fresh.items(), within)
         if not drop:
             return taken, kept, within
         same = [m for m in kept if not m & drop]
         changed = [m & ~drop for m in kept if m & drop]
         stale = 0
+
+
+def _dominated(entries, within):
+    """Union of the elements, among the (bit, entry) pairs `entries`, that
+    another element dominates. An element lying in every set of another
+    can replace it, so the other is dropped; equal incidence keeps the
+    lowest id. This is a strict order, so every dropped element keeps a
+    dominator. A v in `within[bit]` lies in more sets than bit when
+    `within[v]` lacks it."""
+    drop = 0
+    for bit, cand in entries:
+        cand &= ~bit
+        if cand & (bit - 1):
+            drop |= bit
+            continue
+        while cand:
+            v = cand & -cand
+            if not within[v] & bit:
+                drop |= bit
+                break
+            cand ^= v
+    return drop
+
+
+def _root_kernel(hs):
+    """What `_kernel([], masks)` returns for every set of `hs`, read off
+    the family's minimal sets and table. The singletons come first and no
+    other minimal set holds their elements, so the rest is the family
+    after its first round of units and supersets. The entry of a unit's
+    element is its own bit, which dominance never drops, so the test
+    reads the whole table. What it drops goes on through `_kernel`, which
+    copies the table before it writes."""
+    sets, within = hs._minimal, hs._within
+    k = bisect_right(sets, 1, key=int.bit_count)
+    units = sum(sets[:k])  # distinct bits
+    sets = sets[k:]
+    drop = _dominated(within.items(), within)
+    if not drop:
+        return units, sets, within
+    taken, sets, within = _kernel([m for m in sets if not m & drop],
+                                  [m & ~drop for m in sets if m & drop],
+                                  within, 0)
+    return units | taken, sets, within
 
 
 def _components(sets):
@@ -206,7 +286,13 @@ def _search(same, changed, limit, floor, deadline, within=None, stale=-1):
     """Smallest hitting set of `same` plus `changed` (as `_kernel` takes
     them) with fewer than `limit` elements, as (mask, size), or None.
     Reaching the lower bound `floor` ends the search."""
-    taken, sets, within = _kernel(same, changed, within, stale)
+    return _solve(*_kernel(same, changed, within, stale), limit, floor,
+                  deadline)
+
+
+def _solve(taken, sets, within, limit, floor, deadline):
+    """`_search` on the kernel `_kernel` returned as (taken, sets,
+    within)."""
     if sets is None:
         return None
     parts = _components(sets)
@@ -259,8 +345,10 @@ def _branch(sets, limit, floor, deadline, within):
 
 
 def solve_exact(hs, lower_bound_hint=0, deadline=None):
-    """Minimum hitting set by branch and bound on kernels. Each node reduces
-    its unhit sets (see the module docstring) and solves each component
+    """Minimum hitting set by branch and bound on kernels. The root kernel
+    starts from the minimal sets and table the family keeps as sets
+    arrive; each node reduces its unhit sets (see the module docstring)
+    from its parent's table and solves each component
     within the budget the others' disjoint-set packing bounds leave,
     branching on the elements of a smallest set (take vs. forbid), most
     sets hit first. The first dive sets the incumbent. Ties go to the
@@ -275,6 +363,6 @@ def solve_exact(hs, lower_bound_hint=0, deadline=None):
     elems = hs._elements
     # Every set is non-empty, so the whole universe is a hitting set and
     # the search, whose limit admits it, always finds one.
-    mask, size = _search([], hs._masks, len(elems) + 1, lower_bound_hint,
-                         deadline)
+    mask, size = _solve(*_root_kernel(hs), len(elems) + 1, lower_bound_hint,
+                        deadline)
     return frozenset(v for i, v in enumerate(elems) if mask >> i & 1), size

@@ -135,7 +135,9 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
     `random.Random(seed)`. Each round builds the observation fixpoint of
     X and the hitting set once. A complete one makes them the incumbent;
     otherwise the greedy completion takes a copy of it and the fort sweep
-    the state itself.
+    the state itself. The completion keeps at least one vertex it adds,
+    the last one, so it is run only when `lower + 1` is below the
+    incumbent's size: otherwise it could not replace the incumbent.
     """
     t0 = time.perf_counter()
     bounds = []
@@ -195,15 +197,15 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
         if lower > len(best):
             raise AssertionError("lower bound exceeded a feasible upper bound")
         # A complete fixpoint is what the greedy completion would return,
-        # of size `lower`. Once `lower` ties the incumbent, no other
-        # completion would be kept.
+        # of size `lower`; an incomplete one completes to at least
+        # `lower + 1`, which must beat the incumbent to be kept.
         state = observe_from(sub, sub.pre_selected | hit)
         if state.is_complete():
             shrunk = lower < len(best)
             best = SolutionSet(sub.pre_selected | hit)
             if shrunk:
                 bound("upper", len(best))
-        elif lower < len(best):
+        elif lower + 1 < len(best):
             completion = greedy_complete(sub, hit, deadline=deadline,
                                          state=state.copy())
             if len(completion) < len(best):

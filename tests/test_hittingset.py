@@ -269,6 +269,120 @@ def test_carried_kernel_matches_a_fresh_kernel(monkeypatch):
     assert carried >= 1000
 
 
+def _minimal_rows_and_table(masks):
+    """The sets of a family that hold no other set, sorted by (size,
+    mask), and the table `within` over them, from their definitions."""
+    rows = sorted({m for m in masks
+                   if not any(k != m and k & m == k for k in masks)},
+                  key=hittingset._order)
+    table = {}
+    for m in rows:
+        for i in range(m.bit_length()):
+            if m >> i & 1:
+                table[1 << i] = table.get(1 << i, m) & m
+    return rows, table
+
+
+def growing_families(rng):
+    """Batches of rows over 1-10 elements: random rows, singletons,
+    repeats of an earlier row, and rows that hold or lie in an earlier
+    row, so that later batches both add supersets of earlier rows and
+    push earlier rows out of the minimal ones."""
+    width = rng.randint(1, 10)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        batch = []
+        for _ in range(rng.randint(1, 5)):
+            draw = rng.random()
+            if not rows or draw < 0.3:
+                m = rng.randrange(1, 1 << width)
+            elif draw < 0.4:
+                m = 1 << rng.randrange(width)
+            elif draw < 0.5:
+                m = rng.choice(rows)
+            elif draw < 0.75:
+                m = rng.choice(rows) | rng.randrange(1 << width)
+            else:
+                k = rng.choice(rows)
+                m = k & rng.randrange(1, 1 << width) or k & -k
+            rows.append(m)
+            batch.append({i for i in range(width) if m >> i & 1})
+        yield range(width), batch
+
+
+def _replayed(families):
+    """The families a loop hands to `solve_exact`, in order, replayed as
+    one growing instance per part, each family's new rows in one batch."""
+    hs = None
+    for universe, sets, _hint in families:
+        if hs is None or hs.universe != universe or hs.sets != sets[:len(hs)]:
+            hs = HittingSetInstance(universe)
+        yield hs.add_sets(sets[len(hs):])
+
+
+def _check_family_root(hs):
+    masks = [sum(1 << hs._index[v] for v in s) for s in hs.sets]
+    rows, table = _minimal_rows_and_table(masks)
+    assert (hs._minimal, hs._within) == (rows, table), masks
+    got = hittingset._root_kernel(hs)
+    want = _kernel([], masks)
+    assert got[:2] == want[:2] == _reference_kernel(masks), masks
+    if got[1] is not None:
+        assert _live_table(got[2], got[1]) == _live_table(want[2], want[1])
+
+
+def test_family_root_kernel_matches_a_fresh_kernel():
+    # After every batch of rows, the minimal rows and table the family
+    # keeps are those of its rows, and the root kernel it gives is what a
+    # kernel of all rows computes from nothing.
+    rng = random.Random(31)
+    batches = pushed_out = 0
+    for _ in range(3000):
+        hs = None
+        for universe, batch in growing_families(rng):
+            if hs is None:
+                hs = HittingSetInstance(universe)
+            before = list(hs._minimal)
+            hs.add_sets(batch)
+            pushed_out += any(m not in hs._minimal for m in before)
+            _check_family_root(hs)
+            batches += 1
+    assert pushed_out >= 1000 and batches >= 8000
+    captured = [capture_families(gridlike_graph(n, seed), reductions="none",
+                                 seed=0)
+                for n, seed in ((90, 6), (90, 11), (100, 13), (100, 6),
+                                (100, 3))]
+    captured.append(capture_families(gridlike_graph(300, 2), seed=3))
+    for families in captured:
+        for hs in _replayed(families):
+            _check_family_root(hs)
+
+
+def test_solve_exact_never_builds_a_root_kernel_from_nothing(monkeypatch):
+    # Every kernel of an exact solve starts from a table: the root's from
+    # the family's, the others from their parent's.
+    kernel = hittingset._kernel
+    tabled = root_drops = 0
+
+    def from_a_table(same, changed, within=None, stale=-1):
+        nonlocal tabled, root_drops
+        assert within is not None, "a kernel was built from nothing"
+        tabled += 1
+        # Only a root whose table drops elements passes no stale set.
+        root_drops += stale == 0
+        return kernel(same, changed, within, stale)
+
+    captured = capture_families(gridlike_graph(100, 13), reductions="none",
+                                seed=0)
+    want = [solve_exact(hs) for hs in _replayed(captured)]
+    monkeypatch.setattr(hittingset, "_kernel", from_a_table)
+    for seed in range(300):
+        hs = big_random_family(seed)
+        assert solve_exact(hs)[1] == brute_minimum(hs.universe, hs.sets)
+    assert [solve_exact(hs) for hs in _replayed(captured)] == want
+    assert tabled >= 900 and root_drops >= 150
+
+
 def test_branching_takes_the_element_hitting_most_sets_first(monkeypatch):
     # A cycle of pairs with two chords: no singleton, no set inside
     # another and no element lying in every set of another, so the kernel
