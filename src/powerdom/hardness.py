@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import GuardExceededError, ParseError
-from .instance import PdsInstance
+from .instance import PdsInstance, _lines
 
 
 class Circuit:
@@ -69,15 +69,9 @@ class Circuit:
 def parse_circuit(text):
     """Parse the line format `in NAME` / `and NAME CHILD...` /
     `or NAME CHILD...` / `out NAME CHILD...`."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     nodes = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text):
         kind = parts[0]
         if kind not in ("in", "and", "or", "out"):
             raise ParseError(f"unknown node kind {kind!r}", lineno)

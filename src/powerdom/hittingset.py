@@ -83,7 +83,16 @@ class HittingSetInstance:
         self.add_sets(sets)
 
     def add_sets(self, new_sets):
-        """Grow the family; returns self for chaining."""
+        """Grow the family; returns self for chaining.
+
+        The upkeep of the minimal sets seldom fires in the IHS loop. Each
+        new row there is the closed neighbourhood of a fort that misses the
+        hitting set it was found for, and that hitting set meets every row
+        of the earlier rounds, so no new row holds one of them. Nothing
+        rules out a new row inside an earlier one, the case
+        `_drop_supersets` handles, but it never ran over the seed-1
+        benchmark inputs and the `gridlike_graph` (2000, 2), (2000, 4) and
+        (3000, 3) solves: there no row held or lay in another."""
         index, within = self._index, self._within
         for s in new_sets:
             cut = frozenset(s) & self.universe
@@ -120,19 +129,12 @@ class HittingSetInstance:
         those inside m are ANDed with m next, which every removed set
         holds."""
         self._minimal = [k for k in self._minimal if k & m != m]
-        stale = gone & ~m
-        fresh = {}
-        for k in self._minimal:
-            rest = k & stale
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                fresh[bit] = fresh.get(bit, k) & k
-        while stale:
-            bit = stale & -stale
-            stale ^= bit
+        stale = rest = gone & ~m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
             del self._within[bit]
-        self._within.update(fresh)
+        _and_into(self._within, self._minimal, stale)
 
     def __len__(self):
         return len(self.sets)
@@ -142,7 +144,19 @@ def _order(m):
     return m.bit_count(), m
 
 
-def _kernel(same, changed, within=None, stale=-1):
+def _and_into(table, sets, elems):
+    """AND each set of `sets` into the entries of its elements in `elems`;
+    an element with no entry yet starts from the set. Returns `table`."""
+    for m in sets:
+        rest = m & elems
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            table[bit] = table.get(bit, m) & m
+    return table
+
+
+def _kernel(same, changed, within, stale):
     """Reduce the family `same` plus `changed` of element masks until no
     rule applies. Returns the elements of singleton sets, which every
     hitting set takes, the rest sorted by (size, mask), or None in its
@@ -152,9 +166,10 @@ def _kernel(same, changed, within=None, stale=-1):
     `same` must come from a kernel unchanged: sorted, with no singleton
     and no set inside another. A node passes its parent's `within` with
     `stale`, the union of the sets deleted since: only those elements are
-    recomputed and re-tested. With no table, every element is."""
+    recomputed and re-tested. With the table {} and `stale` -1, every
+    element is."""
     taken = 0
-    within = {} if within is None else dict(within)
+    within = dict(within)
     while True:
         if 0 in changed:
             return taken, None, within
@@ -195,13 +210,7 @@ def _kernel(same, changed, within=None, stale=-1):
                         kept.append(m)
                 for m in new:
                     insort(kept, m, key=_order)
-        fresh = {}
-        for m in kept:
-            rest = m & stale
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                fresh[bit] = fresh.get(bit, m) & m
+        fresh = _and_into({}, kept, stale)
         within.update(fresh)
         drop = _dominated(fresh.items(), within)
         if not drop:
@@ -234,13 +243,13 @@ def _dominated(entries, within):
 
 
 def _root_kernel(hs):
-    """What `_kernel([], masks)` returns for every set of `hs`, read off
-    the family's minimal sets and table. The singletons come first and no
-    other minimal set holds their elements, so the rest is the family
-    after its first round of units and supersets. The entry of a unit's
-    element is its own bit, which dominance never drops, so the test
-    reads the whole table. What it drops goes on through `_kernel`, which
-    copies the table before it writes."""
+    """What `_kernel([], masks, {}, -1)` returns for every set of `hs`,
+    read off the family's minimal sets and table. The singletons come
+    first and no other minimal set holds their elements, so the rest is
+    the family after its first round of units and supersets. The entry of
+    a unit's element is its own bit, which dominance never drops, so the
+    test reads the whole table. What it drops goes on through `_kernel`,
+    which copies the table before it writes."""
     sets, within = hs._minimal, hs._within
     k = bisect_right(sets, 1, key=int.bit_count)
     units = sum(sets[:k])  # distinct bits
@@ -282,17 +291,10 @@ def _components(sets):
     return parts
 
 
-def _search(same, changed, limit, floor, deadline, within=None, stale=-1):
-    """Smallest hitting set of `same` plus `changed` (as `_kernel` takes
-    them) with fewer than `limit` elements, as (mask, size), or None.
-    Reaching the lower bound `floor` ends the search."""
-    return _solve(*_kernel(same, changed, within, stale), limit, floor,
-                  deadline)
-
-
 def _solve(taken, sets, within, limit, floor, deadline):
-    """`_search` on the kernel `_kernel` returned as (taken, sets,
-    within)."""
+    """Smallest hitting set, with fewer than `limit` elements, of the
+    kernel `_kernel` returned as (taken, sets, within): as (mask, size),
+    or None. Reaching the lower bound `floor` ends the search."""
     if sets is None:
         return None
     parts = _components(sets)
@@ -313,10 +315,10 @@ def _solve(taken, sets, within, limit, floor, deadline):
 
 
 def _branch(sets, limit, floor, deadline, within):
-    """`_search` on a kernel with one component: take an element of a
+    """`_solve` on a kernel with one component: take an element of a
     smallest set, or forbid it in the branches after it. The elements go
-    by how many sets they hit, most first, then by id. Each child starts
-    from this kernel's table `within`."""
+    by how many sets they hit, most first, then by id. Each child's
+    kernel starts from this kernel's table `within`."""
     if deadline is not None and time.perf_counter() > deadline:
         raise HittingSetTimeout("deadline passed inside the hitting set search")
     first = sets[0]
@@ -332,10 +334,11 @@ def _branch(sets, limit, floor, deadline, within):
     forbidden = 0
     for bit in sorted(count, key=lambda bit: (-count[bit], bit)):
         cut = bit | forbidden
-        got = _search([m for m in sets if not m & cut],
-                      [m & ~forbidden for m in sets
-                       if m & forbidden and not m & bit],
-                      limit - 1, floor - 1, deadline, within, gone[bit])
+        got = _solve(*_kernel([m for m in sets if not m & cut],
+                              [m & ~forbidden for m in sets
+                               if m & forbidden and not m & bit],
+                              within, gone[bit]),
+                     limit - 1, floor - 1, deadline)
         if got is not None:
             best, limit = got[0] | bit, got[1] + 1
             if limit <= floor:

@@ -132,14 +132,13 @@ def parse_instance(text, fmt="pds"):
         p pds <n> <m>        header, first non-comment line, exactly once
         v <id> <flag>        flag N = non-propagating, S = pre-selected,
                              X = excluded; repeats are idempotent
-        l <id> <label>       optional label, no whitespace or '#'
+        l <id> <label>       optional label, no whitespace or '#'; a
+                             repeat must give the same label
         e <u> <v>            exactly m edge lines, u != v
 
     The `edgelist` format is one `u v` pair per line with ids taken
     literally; all vertices default to propagating and undecided.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     if fmt == "edgelist":
         return _parse_edgelist(text)
     if fmt != "pds":
@@ -147,13 +146,10 @@ def parse_instance(text, fmt="pds"):
 
     n = m = None
     nonprop, pre, exc = set(), set(), set()
+    flags = {"N": nonprop, "S": pre, "X": exc}
     labels = {}
     edges = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text):
         kind = parts[0]
         if kind == "p":
             if n is not None:
@@ -173,25 +169,19 @@ def parse_instance(text, fmt="pds"):
             if len(parts) != 3:
                 raise ParseError("expected 'v <id> <flag>'", lineno)
             vid = _vertex_id(parts[1], n, lineno)
-            flag = parts[2]
-            if flag == "N":
-                nonprop.add(vid)
-            elif flag == "S":
-                if vid in exc:
-                    raise ParseError(
-                        f"vertex {vid} both pre-selected and excluded", lineno)
-                pre.add(vid)
-            elif flag == "X":
-                if vid in pre:
-                    raise ParseError(
-                        f"vertex {vid} both pre-selected and excluded", lineno)
-                exc.add(vid)
-            else:
-                raise ParseError(f"unknown vertex flag {flag!r}", lineno)
+            if parts[2] not in flags:
+                raise ParseError(f"unknown vertex flag {parts[2]!r}", lineno)
+            flags[parts[2]].add(vid)
+            if vid in pre and vid in exc:
+                raise ParseError(
+                    f"vertex {vid} both pre-selected and excluded", lineno)
         elif kind == "l":
             if len(parts) != 3:
                 raise ParseError("expected 'l <id> <label>'", lineno)
-            labels[_vertex_id(parts[1], n, lineno)] = parts[2]
+            vid = _vertex_id(parts[1], n, lineno)
+            if labels.setdefault(vid, parts[2]) != parts[2]:
+                raise ParseError(f"vertex {vid} labelled both "
+                                 f"{labels[vid]!r} and {parts[2]!r}", lineno)
         elif kind == "e":
             if len(parts) != 3:
                 raise ParseError("expected 'e <u> <v>'", lineno)
@@ -213,6 +203,17 @@ def parse_instance(text, fmt="pds"):
     return PdsInstance(n, edges, prop, pre, exc, labels)
 
 
+def _lines(text):
+    """(line number, words) of each line of `text`, a str or UTF-8 bytes,
+    that holds a word outside its '#' comment."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield lineno, words
+
+
 def _vertex_id(token, n, lineno):
     try:
         vid = int(token)
@@ -226,11 +227,7 @@ def _vertex_id(token, n, lineno):
 def _parse_edgelist(text):
     edges = []
     top = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text):
         if len(parts) != 2:
             raise ParseError("expected 'u v'", lineno)
         try:

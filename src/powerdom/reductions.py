@@ -26,21 +26,26 @@ each rule whose guard reads an input at the site that the event changed:
 - the neighbours of a vertex whose status changed go back on Deg1a,
   Deg1b, Tri, Deg2a and OnlyN, the rules that read a neighbour's status;
 - every observed flag changes inside a recorded event, so the same
-  record puts a vertex whose flag changed back on Deg2c, ObsNP and ObsE,
-  the rules that read it, and its neighbours on Deg2c, which also reads
-  its neighbours' flags;
+  record puts back, on Deg2c, ObsNP and ObsE, the rules that read it, a
+  vertex whose flag differs from the one its sites were last put back
+  under, and its neighbours on Deg2c, which also reads its neighbours'
+  flags;
 - ObsE reads only its edge, the ends' statuses and their observed flags,
   so it also takes back the edges the event added.
 
 A site goes back only on the sets of the rules that accept its class,
 the status, degree and propagating flag of its vertex or of both ends of
-its edge: a rule's guard fails at any other class, and every change of a
-vertex's class is a recorded change of its status or flag or of an edge
-at it. So a site outside the set never holds, and the smallest pending
-site that holds is the one a full rescan would fire: the worklist
-changes how many guards are tried, not which rule fires where. The driver also skips a Dom or NecN pass when
-nothing but its own events has been recorded since it last ran, because
-such a pass could fire nothing (see `_Driver.run`).
+its edge; each kind of put-back above reads a table, built once per rule
+set, of the rules that read its input and accept each class. A rule's
+guard fails at any other class, and every change of a vertex's class is
+a recorded change of its status or flag or of an edge at it. No rule
+accepts a pre-selected vertex, so a site there never comes back, and
+pre-selection is final. So a site outside the set never holds, and the
+smallest pending site that holds is the one a full rescan would fire:
+the worklist changes how many guards are tried, not which rule fires
+where. The driver also skips a Dom or NecN pass when nothing but its own
+events has been recorded since it last ran, because such a pass could
+fire nothing (see `_Driver.run`).
 
 Every fire is checked, in one place: each recorded event must leave the
 measure alive + undecided + free edges + propagating vertices strictly
@@ -149,7 +154,10 @@ class _Work:
     deleted vertices have no edges and are never selected.
     `obs` is the observation state of the pre-selected set, which the
     mutations keep equal to a recomputation, and `obs_changed` collects
-    the vertices whose observed flag they may have changed.
+    the vertices whose observed flag they may have changed. Every
+    pre-selection selects in `obs`, and no rule deletes or un-selects a
+    pre-selected vertex, so outside a Dom trial `obs.selected` is the
+    pre-selected set.
     `status_changed` collects the vertices whose status they changed; a
     call that sets a vertex's status to the one it has adds nothing.
     Likewise `edges_changed` collects the edges, as (smaller, larger) id
@@ -178,7 +186,7 @@ class _Work:
         status = self.status
         self.edge_count = sum(1 for u, v in inst.edges
                               if status[u] != PRE and status[v] != PRE)
-        self.obs = observe_from(self, self.pre_selected())
+        self.obs = observe_from(self, inst.pre_selected)
         self.obs_changed = set()
         self.status_changed = set()
         self.edges_changed = set()
@@ -247,10 +255,6 @@ class _Work:
     def edge_list(self):
         return sorted((u, v) for u in range(self.n) if self.alive[u]
                       for v in self.adj[u] if u < v)
-
-    def pre_selected(self):
-        return [v for v in range(self.n)
-                if self.alive[v] and self.status[v] == PRE]
 
     def measure(self):
         return (self.alive_count + self.undecided_count + self.edge_count
@@ -502,11 +506,11 @@ def _class_table(enabled, readers):
 
 
 def _sites(work, rule):
-    if rule is RuleId.TRI or rule is RuleId.OBSE:
-        return work.edge_list()
     if rule is RuleId.DOM:
         und = work.undecided()
         return [(v, w) for v in und for w in und if v != w]
+    if rule in _EDGE_SITE_RULES:
+        return work.edge_list()
     return work.vertices()
 
 
@@ -541,14 +545,14 @@ def _dom_single(work, site):
         return None
     if work.status[v] != UND:
         return None
-    return _dom(work, observe_from(work, work.pre_selected() + [v]), v, w)
+    return _dom(work, observe_from(work, work.obs.selected | {v}), v, w)
 
 
 def _necn_single(work, v):
     if not work.alive[v] or work.status[v] != UND:
         return None
     others = [u for u in work.undecided() if u != v]
-    return _necn(work, observe_from(work, work.pre_selected() + others), v)
+    return _necn(work, observe_from(work, work.obs.selected.union(others)), v)
 
 
 @dataclass
@@ -618,28 +622,15 @@ class _Driver:
         self.rules = frozenset(rules)
         self.deadline = deadline
         self.events = []
-        # The work state's measure after the last recorded event. `_record`
-        # checks that every event, local, Dom or NecN, lowers it: ObsE by
-        # the free edge it takes away, since the edges it adds end at a
-        # pre-selected vertex, and every other rule by a vertex, a flag or
-        # an undecided status.
+        # The work state's measure after the last recorded event, which
+        # `_record` checks that every event lowers.
         self.measure = self.work.measure()
-        # Pending sites per enabled local rule, in `LOCAL_RULES` order;
-        # every site outside its set fails its guard. `_record` reads what
-        # the event edited off the work state and puts a site back on the
-        # sets whose rule's guard reads an input the event changed, each
-        # through the class table of the rules that read it (see
-        # `_READS_OWN` and below): `own_table` for the vertices whose
-        # status or propagating flag changed, the neighbours of a cleared
-        # flag and the structure around each edited edge,
-        # `neighbour_status_table` for the neighbours of a vertex whose
-        # status changed, and `observed_table` and
-        # `neighbour_observed_table` for a vertex whose observed flag
-        # differs from `tested_observed`, the flags the sets were last put
-        # back under, and for its neighbours. ObsE's guard can come to hold
-        # only at an added edge or at a flag change, so events also put
-        # back its sites at the edges they added. The first put-back covers
-        # every vertex on every rule.
+        # Pending sites per enabled local rule, in `LOCAL_RULES` order, and
+        # one class table per input an event can change, through which
+        # `_record` puts sites back (see the module docstring).
+        # `tested_observed` holds the observed flags the sets were last
+        # put back under. The first put-back covers every vertex on every
+        # rule.
         enabled = tuple(r for r in LOCAL_RULES if r in self.rules)
         self.pending = [_Pending(r) for r in enabled]
         self.obse = (self.pending[enabled.index(RuleId.OBSE)]
@@ -707,17 +698,9 @@ class _Driver:
 
     def _requeue(self, vertices, table):
         """Put back the vertex sites in `vertices` and the edge sites at
-        them, each only on the queues of `table` (a `_class_table`): those
-        of the rules that read the input that changed at these vertices,
-        and among them those whose rule accepts the site's class, the
-        status, degree and propagating flag of its vertex, or of both
-        ends of its edge. A site of another class fails its rule's guard,
-        and stays out until an event changes its class; the work state
-        records every such change, a status, a cleared flag or an edge at
-        the vertex, and `_record` then puts the vertex back on `own_table`,
-        the table of every rule that reads its own class. No rule accepts a
-        pre-selected vertex, so sites at one never come back: no local
-        rule fires there, and pre-selection is final."""
+        them on the queues that `table` (a `_class_table`) gives for the
+        class of the site's vertex, or of both ends of its edge. Deleted
+        vertices are skipped."""
         work = self.work
         status, adj, alive = work.status, work.adj, work.alive
         propagating = work.propagating
@@ -806,7 +789,7 @@ class _Driver:
         """One exhaustive pass of the necessary-node rule."""
         work = self.work
         undecided = work.undecided()
-        state = observe_from(work, work.pre_selected() + undecided)
+        state = observe_from(work, work.obs.selected.union(undecided))
         fired = False
         for v in undecided:
             if self._expired():
@@ -850,14 +833,10 @@ class _Driver:
 def reduce_full(inst, rules=None, deadline=None):
     """Full preprocessing: local rounds, Dom and NecN to a fixpoint.
 
-    Local rounds run from the worklist of pending sites. Every event of
-    every pass feeds it with the sites at which it changed an input that
-    the site's rule reads, own class, neighbour status or observed flag,
-    and whose class that rule accepts. The rounds fire exactly the
-    sequence that rescanning all rules and sites from the first after
-    each fire would. A Dom or NecN pass with no event but its own since
-    it last ran is skipped, as it could fire nothing; the events are
-    those of running every pass in every round.
+    The events are those of rescanning every local rule and site after
+    each fire and running every Dom and NecN pass in every round; the
+    module docstring says how the worklist and the skipped passes keep
+    them so.
 
     `rules` may be a RuleId iterable or one of the named subsets
     ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none');

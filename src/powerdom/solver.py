@@ -176,7 +176,6 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
             raise AssertionError("fort generation added no new neighborhood")
 
     grow(frozenset())
-    lb_hint = 0
     solves = 0
     lower = x_size
     while True:
@@ -184,13 +183,12 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
             return result(TIMED_OUT, best, None, lower, len(best),
                           len(hs), solves)
         try:
-            hit, size = solve_exact(hs, lower_bound_hint=lb_hint,
+            hit, size = solve_exact(hs, lower_bound_hint=lower - x_size,
                                     deadline=deadline)
         except HittingSetTimeout:
             return result(TIMED_OUT, best, None, lower, len(best),
                           len(hs), solves)
         solves += 1
-        lb_hint = size
         if x_size + size > lower:
             lower = x_size + size
             bound("lower", lower)

@@ -215,7 +215,7 @@ def test_kernel_matches_a_reference_kernel():
         families.append(sets)
     reduced = 0
     for sets in families:
-        taken, kept, _ = _kernel([], sets)
+        taken, kept, _ = _kernel([], sets, {}, -1)
         assert (taken, kept) == _reference_kernel(sets), sets
         reduced += kept is not None and len(kept) < len(set(sets))
     assert reduced >= 100
@@ -247,16 +247,16 @@ def test_carried_kernel_matches_a_fresh_kernel(monkeypatch):
     kernel = hittingset._kernel
     carried = 0
 
-    def checked_kernel(same, changed, within=None, stale=-1):
+    def checked_kernel(same, changed, within, stale):
         nonlocal carried
         got = kernel(same, changed, within, stale)
         family = same + changed
-        want = kernel([], family)
+        want = kernel([], family, {}, -1)
         assert got[:2] == want[:2] == _reference_kernel(family), family
         if got[1] is not None:
             assert _live_table(got[2], got[1]) == _live_table(want[2],
                                                               want[1])
-        carried += within is not None
+        carried += stale != -1
         return got
 
     monkeypatch.setattr(hittingset, "_kernel", checked_kernel)
@@ -265,7 +265,8 @@ def test_carried_kernel_matches_a_fresh_kernel(monkeypatch):
     rng = random.Random(11)
     for _ in range(300):
         sets = random_mask_family(rng)
-        hittingset._search([], sets, len(sets) + 1, 0, None)
+        hittingset._solve(*hittingset._kernel([], sets, {}, -1),
+                          len(sets) + 1, 0, None)
     assert carried >= 1000
 
 
@@ -325,7 +326,7 @@ def _check_family_root(hs):
     rows, table = _minimal_rows_and_table(masks)
     assert (hs._minimal, hs._within) == (rows, table), masks
     got = hittingset._root_kernel(hs)
-    want = _kernel([], masks)
+    want = _kernel([], masks, {}, -1)
     assert got[:2] == want[:2] == _reference_kernel(masks), masks
     if got[1] is not None:
         assert _live_table(got[2], got[1]) == _live_table(want[2], want[1])
@@ -364,9 +365,9 @@ def test_solve_exact_never_builds_a_root_kernel_from_nothing(monkeypatch):
     kernel = hittingset._kernel
     tabled = root_drops = 0
 
-    def from_a_table(same, changed, within=None, stale=-1):
+    def from_a_table(same, changed, within, stale):
         nonlocal tabled, root_drops
-        assert within is not None, "a kernel was built from nothing"
+        assert within and stale != -1, "a kernel was built from nothing"
         tabled += 1
         # Only a root whose table drops elements passes no stale set.
         root_drops += stale == 0
@@ -391,16 +392,17 @@ def test_branching_takes_the_element_hitting_most_sets_first(monkeypatch):
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (2, 5)]
     masks = sorted(((1 << u) | (1 << v) for u, v in pairs),
                    key=lambda m: (m.bit_count(), m))
-    assert _kernel([], masks)[:2] == (0, masks)
-    search = hittingset._search
+    assert _kernel([], masks, {}, -1)[:2] == (0, masks)
+    kernel = hittingset._kernel
     calls = []
 
     def recorded(same, changed, *args):
         calls.append((same, changed))
-        return search(same, changed, *args)
+        return kernel(same, changed, *args)
 
-    monkeypatch.setattr(hittingset, "_search", recorded)
-    assert hittingset._search([], masks, 7, 0, None)[1] == 3
+    monkeypatch.setattr(hittingset, "_kernel", recorded)
+    assert hittingset._solve(*hittingset._kernel([], masks, {}, -1),
+                             7, 0, None)[1] == 3
     # The first child takes element 1: it keeps exactly the sets without it.
     assert calls[1] == ([m for m in masks if not m & 0b10], [])
 

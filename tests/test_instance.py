@@ -22,8 +22,24 @@ def test_parse_nonpropagating_flag():
 
 
 def test_parse_conflicting_flags_rejected():
-    with pytest.raises(ParseError):
-        parse_instance("p pds 2 1\nv 0 S\nv 0 X\ne 0 1\n")
+    # Either order fails, at the line of the second flag.
+    for first, second in (("S", "X"), ("X", "S")):
+        with pytest.raises(ParseError) as err:
+            parse_instance(f"p pds 2 1\nv 0 {first}\nv 1 N\nv 0 {second}\n"
+                           "e 0 1\n")
+        assert err.value.line == 4
+        assert "vertex 0 both pre-selected and excluded" in str(err.value)
+
+
+def test_parse_conflicting_labels_rejected():
+    # A second, different label for a vertex fails at its line; the same
+    # label again is idempotent, as a repeated flag is.
+    with pytest.raises(ParseError) as err:
+        parse_instance("p pds 2 0\nl 0 a\nl 0 b\n")
+    assert err.value.line == 3
+    assert "vertex 0 labelled both 'a' and 'b'" in str(err.value)
+    inst = parse_instance("p pds 2 0\nl 0 a\nl 1 b\nl 0 a\n")
+    assert inst.labels == {0: "a", 1: "b"}
 
 
 def test_parse_reports_line_numbers():

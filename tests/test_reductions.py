@@ -543,7 +543,9 @@ class _AllPairsDomDriver(reductions._Driver):
         for v in undecided:
             if work.status[v] != reductions.UND:
                 continue
-            state = observe_from(work, work.pre_selected() + [v])
+            state = observe_from(work, [u for u in work.vertices()
+                                        if work.status[u] == reductions.PRE]
+                                 + [v])
             for w in undecided:
                 event = w != v and reductions._dom(work, state, v, w)
                 if event:
@@ -634,12 +636,16 @@ def test_maintained_measure_matches_recount(small_corpus, monkeypatch):
         oracle = {to_work[v] for v in observed_set(snap, selected)}
         assert work.obs.observed_vertices() == oracle, event
         assert work.obs.observed_count == len(oracle), event
-        # Each vertex counts the selected vertices in its closed
-        # neighbourhood, and propagation parents and children mirror each
-        # other.
-        obs, chosen = work.obs, set(work.pre_selected())
+        # The state selects exactly the pre-selected set X, read off the
+        # statuses, plus a Dom event's candidate. Each vertex counts the
+        # selected vertices in its closed neighbourhood, and propagation
+        # parents and children mirror each other.
+        obs = work.obs
+        chosen = {v for v in range(work.n)
+                  if work.alive[v] and work.status[v] == reductions.PRE}
         if event.rule is RuleId.DOM:
             chosen.add(event.site[0])
+        assert obs.selected == chosen, event
         assert obs.dom_count == [
             sum(1 for s in (t, *work.adj[t]) if s in chosen)
             for t in range(work.n)], event
