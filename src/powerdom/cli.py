@@ -2,6 +2,9 @@
 
 Exit codes: 0 solved/ok, 1 usage or input error, 2 infeasible instance,
 3 timeout.
+
+The oracle, MILP and hardness modules are imported inside the commands
+that use them, so `solve`, `reduce` and `gen` never compile them.
 """
 
 from __future__ import annotations
@@ -11,11 +14,8 @@ import contextlib
 import json
 import sys
 
-from . import milp as milp_mod
-from .bruteforce import oracle_pds
 from .errors import GuardExceededError, InfeasibleInstanceError, ParseError
 from .forts import closed_neighborhood, find_forts
-from .hardness import full_chain_detailed, parse_circuit
 from .hittingset import HittingSetInstance
 from .instance import generate_random, parse_instance, write_instance
 from .propagation import observe_from
@@ -86,6 +86,7 @@ def cmd_reduce(args):
 
 
 def cmd_oracle(args):
+    from .bruteforce import oracle_pds
     inst = _load_instance(args.instance, args.format)
     try:
         gamma, witness = oracle_pds(inst, k_max=args.k_max)
@@ -98,6 +99,7 @@ def cmd_oracle(args):
 
 
 def cmd_export_milp(args):
+    from . import milp as milp_mod
     inst = _load_instance(args.instance, args.format)
     if args.model == "pds":
         model = milp_mod.build_pds_milp(inst)
@@ -117,6 +119,7 @@ def cmd_export_milp(args):
 
 
 def cmd_transform_circuit(args):
+    from .hardness import full_chain_detailed, parse_circuit
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = parse_circuit(fh.read())
     chain = full_chain_detailed(circuit)

@@ -71,3 +71,90 @@ def test_library_runs_with_numpy_blocked():
     small = generate_random(12, 15, 0.3, seed=1)
     assert printed == write_instance(small)
     assert out["oracle"] == oracle_pds(small)[0]
+
+
+SOLVE_PATH = ["powerdom." + m for m in (
+    "decompose", "errors", "forts", "hittingset", "instance", "propagation",
+    "reductions", "solver")]
+DEFERRED = ["powerdom.bruteforce", "powerdom.hardness", "powerdom.milp"]
+
+LOADED = """
+    import json
+    import sys
+
+    import powerdom
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.startswith("powerdom."))
+    """
+
+
+def run_fresh(script, *args):
+    """The last line a fresh interpreter running `script` prints, as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script),
+                           *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_solve_load_only_the_solve_path():
+    out = run_fresh(LOADED + """
+    after_import = loaded()
+    inst = powerdom.generate_random(30, 40, 0.2, seed=3)
+    print(json.dumps({"gamma": powerdom.solve(inst).gamma_p,
+                      "after_import": after_import, "after_solve": loaded()}))
+    """)
+    assert out["gamma"] == solve(generate_random(30, 40, 0.2, seed=3)).gamma_p
+    assert out["after_import"] == out["after_solve"] == SOLVE_PATH
+
+
+def test_cli_gen_reduce_and_solve_load_no_deferred_module(tmp_path):
+    path = tmp_path / "g30.pds"
+    path.write_text(write_instance(generate_random(30, 40, 0.2, seed=3)))
+    out = run_fresh(LOADED + """
+    from powerdom import cli
+    path = sys.argv[1]
+    codes = [cli.main(argv) for argv in (
+        ["gen", "12", "15", "-o", path + ".gen"], ["reduce", path],
+        ["solve", path])]
+    print(json.dumps({"codes": codes, "loaded": loaded()}))
+    """, str(path))
+    assert out["codes"] == [0, 0, 0]
+    assert out["loaded"] == sorted(SOLVE_PATH + ["powerdom.cli"])
+
+
+def test_deferred_names_resolve_as_an_eager_import_would():
+    # dir() before any deferred module loads, a star import, and the
+    # package's own namespace once every submodule is loaded (what an
+    # eager import of all of them holds) list the same public names, and
+    # each deferred name is its submodule's object.
+    out = run_fresh(LOADED + """
+    def public(names):
+        return sorted(n for n in names if not n.startswith("_"))
+
+    listed = public(dir(powerdom))
+    try:
+        powerdom.no_such_name
+        unknown = "resolved"
+    except AttributeError as exc:
+        unknown = str(exc)
+    deferred = {}
+    for name in powerdom.__all__:
+        obj = getattr(powerdom, name)
+        home = getattr(obj, "__module__", None)
+        if home in ("powerdom.bruteforce", "powerdom.hardness",
+                    "powerdom.milp"):
+            deferred[name] = getattr(sys.modules[home], name) is obj
+    star = {}
+    exec("from powerdom import *", star)
+    print(json.dumps({"listed": listed, "unknown": unknown,
+                      "deferred": deferred, "star": public(star),
+                      "held": public(vars(powerdom)), "loaded": loaded()}))
+    """)
+    assert out["unknown"] == "module 'powerdom' has no attribute 'no_such_name'"
+    assert len(out["deferred"]) == 24 and all(out["deferred"].values())
+    assert out["listed"] == out["star"] == out["held"]
+    assert out["listed"] == sorted(powerdom.__all__)
+    assert out["loaded"] == sorted(SOLVE_PATH + DEFERRED)
