@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import sys
+from pathlib import Path
 
 from .errors import GuardExceededError, InfeasibleInstanceError, ParseError
 from .forts import closed_neighborhood, find_forts
@@ -29,8 +30,7 @@ EXIT_TIMEOUT = 3
 
 
 def _load_instance(path, fmt="pds"):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read(), fmt)
+    return parse_instance(Path(path).read_text(encoding="utf-8"), fmt)
 
 
 def cmd_solve(args):
@@ -77,10 +77,12 @@ def cmd_solve(args):
 
 def cmd_reduce(args):
     inst = _load_instance(args.instance, args.format)
-    kernel, _log, stats = reduce_full(inst, args.reductions)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(write_instance(kernel))
+    # Opened first, so an unwritable path fails before the reduction.
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext()) as out:
+        kernel, _log, stats = reduce_full(inst, args.reductions)
+        if out:
+            out.write(write_instance(kernel))
     print(json.dumps(stats))
     return EXIT_OK
 
@@ -112,21 +114,18 @@ def cmd_export_milp(args):
         hs.add_sets([closed_neighborhood(inst, fort) for fort in forts])
         model = milp_mod.build_hitting_set_ilp(hs)
     out = args.output or f"{args.instance}.{args.model}-milp.lp"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(milp_mod.write_lp(model))
+    Path(out).write_text(milp_mod.write_lp(model), encoding="utf-8")
     print(out)
     return EXIT_OK
 
 
 def cmd_transform_circuit(args):
     from .hardness import full_chain_detailed, parse_circuit
-    with open(args.circuit, "r", encoding="utf-8") as fh:
-        circuit = parse_circuit(fh.read())
+    circuit = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     chain = full_chain_detailed(circuit)
     inst = chain.instance
     out = args.output or f"{args.circuit}.pds"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(write_instance(inst))
+    Path(out).write_text(write_instance(inst), encoding="utf-8")
     print(json.dumps({"output": out, "parameter_shift": chain.shift,
                       "vertices": inst.n, "edges": inst.m}))
     return EXIT_OK
@@ -136,8 +135,7 @@ def cmd_gen(args):
     inst = generate_random(args.n, args.m, args.frac_nonprop, args.seed)
     text = write_instance(inst)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -22,7 +22,7 @@ def closed_neighborhood(inst, vertices):
     return frozenset(out)
 
 
-def _reselect(state, pool, deadline=None):
+def _reselect(state, pool, deadline=float("inf")):
     """Fort minimisation: select each unselected pool vertex in ascending
     id order unless that completes the state, stopping once the deadline
     has passed; returns the fort left, the unobserved set. Kept selects
@@ -49,7 +49,7 @@ def _reselect(state, pool, deadline=None):
     start = state.unobserved_vertices()
     completes = set()
     for p in sorted(closed_neighborhood(state.inst, start)):
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             break
         if (p not in pool or p in state.selected or p in completes
                 or (observed[p] and not unobs_count[p])):
@@ -65,7 +65,8 @@ def _reselect(state, pool, deadline=None):
     return frozenset(t for t in start if not observed[t])
 
 
-def find_forts(inst, hitting_set, seed=0, deadline=None, state=None):
+def find_forts(inst, hitting_set, seed=0, deadline=float("inf"),
+               state=None):
     """Candidate-sequence fort heuristic.
 
     Splits the vertices into X (pre-selected), Y (excluded), H (the
@@ -99,9 +100,9 @@ def find_forts(inst, hitting_set, seed=0, deadline=None, state=None):
     order, from stdlib `random`: `seed` is an int that seeds a
     `random.Random`, or such a generator itself. Python keeps `random()`
     of an int seed the same across versions, so a fixed seed reproduces
-    the fort list on any platform. Once the `perf_counter` `deadline` has
-    passed, the sweep stops and the forts found so far are returned,
-    possibly none; the last may be left less minimized.
+    the fort list on any platform. Once the `perf_counter` `deadline`, by
+    default none, has passed, the sweep stops and the forts found so far
+    are returned, possibly none; the last may be left less minimized.
 
     `state`, when given, must equal `observe_from(inst, H | X)`; the sweep
     runs on it in place of a fresh one and leaves it changed. The forts
@@ -128,7 +129,7 @@ def find_forts(inst, hitting_set, seed=0, deadline=None, state=None):
     seen = set()
     removed = set(order[:first])
     for i in range(first, len(order)):
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             break
         u = order[i]
         if i > first:

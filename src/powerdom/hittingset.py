@@ -319,7 +319,7 @@ def _branch(sets, limit, floor, deadline, within):
     smallest set, or forbid it in the branches after it. The elements go
     by how many sets they hit, most first, then by id. Each child's
     kernel starts from this kernel's table `within`."""
-    if deadline is not None and time.perf_counter() > deadline:
+    if time.perf_counter() > deadline:
         raise HittingSetTimeout("deadline passed inside the hitting set search")
     first = sets[0]
     count, gone = {}, {}
@@ -347,7 +347,7 @@ def _branch(sets, limit, floor, deadline, within):
     return None if best is None else (best, limit)
 
 
-def solve_exact(hs, lower_bound_hint=0, deadline=None):
+def solve_exact(hs, lower_bound_hint=0, deadline=float("inf")):
     """Minimum hitting set by branch and bound on kernels. The root kernel
     starts from the minimal sets and table the family keeps as sets
     arrive; each node reduces its unhit sets (see the module docstring)
@@ -360,8 +360,8 @@ def solve_exact(hs, lower_bound_hint=0, deadline=None):
     Returns (hitting set, size). `lower_bound_hint` may come from a
     previous solve of a subset family (the optimum only grows when sets
     are added) and ends the search once reached. Past the
-    `time.perf_counter()` value `deadline`, the next branching node raises
-    `HittingSetTimeout`.
+    `time.perf_counter()` value `deadline`, by default none, the next
+    branching node raises `HittingSetTimeout`.
     """
     elems = hs._elements
     # Every set is non-empty, so the whole universe is a hitting set and

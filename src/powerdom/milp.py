@@ -163,14 +163,17 @@ def build_fort_ilp(inst, observed):
 # --- LP text ----------------------------------------------------------------
 
 
+def _num(x):
+    return str(int(x)) if x == int(x) else str(x)
+
+
 def _format_terms(coeffs):
     parts = []
     for name, coef in coeffs:
         coef = float(coef)
         sign = "-" if coef < 0 else "+"
         mag = abs(coef)
-        mag_str = "" if mag == 1 else (
-            str(int(mag)) + " " if mag == int(mag) else f"{mag} ")
+        mag_str = "" if mag == 1 else _num(mag) + " "
         term = f"{mag_str}{name}"
         if not parts and sign == "+":
             parts.append(term)
@@ -184,15 +187,13 @@ def write_lp(model):
     Binaries / End), one constraint per line."""
     lines = ["Minimize", f" obj: {_format_terms(model.objective)}", "Subject To"]
     for c in model.constraints:
-        rhs = int(c.rhs) if c.rhs == int(c.rhs) else c.rhs
-        lines.append(f" {c.name}: {_format_terms(c.coeffs)} {c.sense} {rhs}")
+        lines.append(
+            f" {c.name}: {_format_terms(c.coeffs)} {c.sense} {_num(c.rhs)}")
     bounds = [v for v in model.variables.values() if v.kind == "continuous"]
     if bounds:
         lines.append("Bounds")
         for v in bounds:
-            lb = int(v.lb) if v.lb == int(v.lb) else v.lb
-            ub = int(v.ub) if v.ub == int(v.ub) else v.ub
-            lines.append(f" {lb} <= {v.name} <= {ub}")
+            lines.append(f" {_num(v.lb)} <= {v.name} <= {_num(v.ub)}")
     binaries = [v.name for v in model.variables.values() if v.kind == "binary"]
     if binaries:
         lines.append("Binaries")

@@ -617,7 +617,7 @@ class _Pending:
 
 
 class _Driver:
-    def __init__(self, inst, rules, deadline=None):
+    def __init__(self, inst, rules, deadline=float("inf")):
         self.work = _Work(inst)
         self.rules = frozenset(rules)
         self.deadline = deadline
@@ -646,8 +646,7 @@ class _Driver:
                       _class_table(enabled, frozenset(LOCAL_RULES)))
 
     def _expired(self):
-        return (self.deadline is not None
-                and time.perf_counter() > self.deadline)
+        return time.perf_counter() > self.deadline
 
     def _record(self, event):
         work = self.work
@@ -815,22 +814,20 @@ class _Driver:
         each vertex still undecided was tried against the same set.
         """
         # The number of recorded events when each pass last ended.
-        dom_ran = necn_ran = None
+        ran = {}
         while not self._expired():
             changed = self.local_round()
-            if (RuleId.DOM in self.rules and dom_ran != len(self.events)
-                    and not self._expired()):
-                changed |= self.dom_pass()
-                dom_ran = len(self.events)
-            if (RuleId.NECN in self.rules and necn_ran != len(self.events)
-                    and not self._expired()):
-                changed |= self.necn_pass()
-                necn_ran = len(self.events)
+            for rule, run_pass in ((RuleId.DOM, self.dom_pass),
+                                   (RuleId.NECN, self.necn_pass)):
+                if (rule in self.rules and ran.get(rule) != len(self.events)
+                        and not self._expired()):
+                    changed |= run_pass()
+                    ran[rule] = len(self.events)
             if not changed:
                 break
 
 
-def reduce_full(inst, rules=None, deadline=None):
+def reduce_full(inst, rules="all", deadline=float("inf")):
     """Full preprocessing: local rounds, Dom and NecN to a fixpoint.
 
     The events are those of rescanning every local rule and site after
@@ -839,19 +836,18 @@ def reduce_full(inst, rules=None, deadline=None):
     them so.
 
     `rules` may be a RuleId iterable or one of the named subsets
-    ('all', 'local', 'nonlocal', 'local+dom', 'local+necn', 'none');
-    anything else raises ValueError.
-    `deadline` is a `time.perf_counter()` value. It is checked between
-    the passes, before every fire of a local rule and before each vertex
-    a Dom or NecN pass tries, so a deadline that has already passed
-    leaves the input as it is. Once it passes, the kernel reached so far
-    is returned. That kernel is still safe, because every applied event
-    is. Returns (kernel, log, stats). With no rule enabled no work state
-    is built, and the kernel is `inst` itself, with identity ids.
+    ('all', the default, 'local', 'nonlocal', 'local+dom', 'local+necn',
+    'none'); anything else raises ValueError.
+    `deadline` is a `time.perf_counter()` value, by default none. It is
+    checked between the passes, before every fire of a local rule and
+    before each vertex a Dom or NecN pass tries, so a deadline that has
+    already passed leaves the input as it is. Once it passes, the kernel
+    reached so far is returned. That kernel is still safe, because every
+    applied event is. Returns (kernel, log, stats). With no rule enabled
+    no work state is built, and the kernel is `inst` itself, with
+    identity ids.
     """
-    if rules is None:
-        rules = RULE_SUBSETS["all"]
-    elif isinstance(rules, str):
+    if isinstance(rules, str):
         if rules not in RULE_SUBSETS:
             raise ValueError(f"unknown reduction subset {rules!r}")
         rules = RULE_SUBSETS[rules]

@@ -28,7 +28,9 @@ TIMED_OUT = "TimedOut"
 @dataclass
 class SolveResult:
     """`fort_count` counts the rows of the hitting-set instances, one per
-    distinct fort neighborhood, summed over the parts.
+    distinct fort neighborhood, summed over the parts. A fort sweep that
+    ends past the deadline adds no rows, since no solve is left to use
+    them.
 
     `bounds` lists `(seconds since the call began, "lower" | "upper",
     value)`, one entry per improvement of either bound; the last of each
@@ -49,7 +51,7 @@ class SolveResult:
     bounds: list = field(default_factory=list)
 
 
-def greedy_complete(inst, h=(), deadline=None, state=None):
+def greedy_complete(inst, h=(), deadline=float("inf"), state=None):
     """Extend h plus the pre-selected set to a feasible solution, then prune.
 
     Repeatedly selects the undecided vertex covering the most unobserved
@@ -67,11 +69,11 @@ def greedy_complete(inst, h=(), deadline=None, state=None):
     `state`, when given, must equal `observe_from(inst, h | X)`; it is
     used in place of a fresh one and left changed. The result is the same.
 
-    The `time.perf_counter()` value `deadline` is checked before every
-    pick but the first, so an instance one vertex observes still gets it.
-    Once the deadline has passed, every remaining undecided vertex is
-    selected in one step and nothing is pruned; that set is feasible
-    exactly when the instance is.
+    The `time.perf_counter()` value `deadline`, by default none, is
+    checked before every pick but the first, so an instance one vertex
+    observes still gets it. Once the deadline has passed, every remaining
+    undecided vertex is selected in one step and nothing is pruned; that
+    set is feasible exactly when the instance is.
     """
     base = frozenset(h) | inst.pre_selected
     if state is None:
@@ -81,8 +83,7 @@ def greedy_complete(inst, h=(), deadline=None, state=None):
     free = [v for v in inst.undecided() if v not in base]
     added = []
     while not state.is_complete():
-        if (added and deadline is not None
-                and time.perf_counter() > deadline):
+        if added and time.perf_counter() > deadline:
             everything = base | frozenset(inst.undecided())
             if not observe_from(inst, everything).is_complete():
                 raise InfeasibleInstanceError(
@@ -114,22 +115,27 @@ def greedy_complete(inst, h=(), deadline=None, state=None):
     return SolutionSet(frozenset(state.selected))
 
 
-def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
+def ihs_kernel_solve(sub, seed=0, deadline=float("inf"), incumbent=None):
     """Implicit hitting set loop for one (sub)instance.
 
     Intended for kernels but correct on any instance. `deadline` is a
-    `time.perf_counter()` value; once it passes, the loop returns
-    TimedOut with the best solution so far. The result's `bounds` start
-    with the pre-selected count as lower bound and the incumbent's size
-    as upper bound, then gain an entry each time `lower` rises or the
-    incumbent shrinks; values count the instance's pre-selected vertices.
-    `incumbent` is `greedy_complete(sub)` when the caller has it already.
+    `time.perf_counter()` value, by default none; once it passes, the
+    loop returns TimedOut with the best solution so far. Each pass of
+    the loop is one round: a fort sweep for the last hitting set (empty
+    at first), the deadline test, then an exact solve over the rows so
+    far. The result's `bounds` start with the pre-selected count as lower
+    bound and the incumbent's size as upper bound, then gain an entry
+    each time `lower` rises or the incumbent shrinks; values count the
+    instance's pre-selected vertices. `incumbent` is
+    `greedy_complete(sub)` when the caller has it already.
 
     Each fort's closed neighborhood goes straight into the hitting-set
     instance, which drops repeats, so the result's `fort_count` is its
-    number of rows. A neighborhood never meets the pre-selected set, so
-    two share a row only when they differ in excluded vertices alone,
-    which ask nothing of the hitting set.
+    number of rows. The forts of a sweep that ends past the deadline are
+    dropped, so every row counted had a solve started over it. A
+    neighborhood never meets the pre-selected set, so two share a row
+    only when they differ in excluded vertices alone, which ask nothing
+    of the hitting set.
 
     The fort sweeps draw their orders, one after another, from a stdlib
     `random.Random(seed)`. Each round builds the observation fixpoint of
@@ -159,35 +165,25 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
         return result(OPTIMAL, best, x_size, x_size, x_size, 0, 0)
 
     rng = random.Random(seed)
-    universe = frozenset(sub.undecided())
-    hs = HittingSetInstance(universe)
-
-    def expired():
-        return deadline is not None and time.perf_counter() > deadline
-
-    def grow(hitting_set, state=None):
-        forts = find_forts(sub, hitting_set, seed=rng, deadline=deadline,
-                           state=state)
-        before = len(hs)
-        hs.add_sets(closed_neighborhood(sub, f) for f in forts)
-        # A sweep the deadline cut short may find nothing new; the loop
-        # then returns TimedOut.
-        if len(hs) == before and not expired():
-            raise AssertionError("fort generation added no new neighborhood")
-
-    grow(frozenset())
+    hs = HittingSetInstance(frozenset(sub.undecided()))
+    hit, state = frozenset(), None
     solves = 0
     lower = x_size
     while True:
-        if expired():
-            return result(TIMED_OUT, best, None, lower, len(best),
-                          len(hs), solves)
+        forts = find_forts(sub, hit, seed=rng, deadline=deadline, state=state)
+        # A sweep the deadline cut short may find nothing new, and no
+        # solve is left to use what it found.
+        if time.perf_counter() > deadline:
+            break
+        before = len(hs)
+        hs.add_sets(closed_neighborhood(sub, f) for f in forts)
+        if len(hs) == before:
+            raise AssertionError("fort generation added no new neighborhood")
         try:
             hit, size = solve_exact(hs, lower_bound_hint=lower - x_size,
                                     deadline=deadline)
         except HittingSetTimeout:
-            return result(TIMED_OUT, best, None, lower, len(best),
-                          len(hs), solves)
+            break
         solves += 1
         if x_size + size > lower:
             lower = x_size + size
@@ -213,24 +209,25 @@ def ihs_kernel_solve(sub, seed=0, deadline=None, incumbent=None):
             # Bound sandwich: the incumbent is optimal.
             return result(OPTIMAL, best, lower, lower, lower,
                           len(hs), solves)
-        grow(hit, state)
+    return result(TIMED_OUT, best, None, lower, len(best), len(hs), solves)
 
 
 def solve(inst, reductions="all", seed=0, time_limit=None):
     """Full pipeline: reduce, split, solve each part, merge, lift.
 
     `reductions` names a rule subset ('all', 'local', 'nonlocal',
-    'local+dom', 'local+necn', 'none'). Deterministic for a fixed seed
-    when no timeout occurs. The parts are solved one after another,
-    smallest first, under a shared deadline that also cuts the reduction
-    short, so a timed-out run has proved what it can on every part it
-    reached. Each part's seed is the 64-bit draw of that index from a
-    stdlib `random.Random(seed)`, so its result does not depend on the
-    order. A part's `bounds` go into the result's `bounds` as soon as it
-    returns, timed from the call's start.
+    'local+dom', 'local+necn', 'none'). `time_limit` is in seconds, by
+    default none. Deterministic for a fixed seed when no timeout occurs.
+    The parts are solved one after another, smallest first, under a
+    shared deadline that also cuts the reduction short, so a timed-out
+    run has proved what it can on every part it reached. Each part's seed
+    is the 64-bit draw of that index from a stdlib `random.Random(seed)`,
+    so its result does not depend on the order. A part's `bounds` go into
+    the result's `bounds` as soon as it returns, timed from the call's
+    start.
     """
     t0 = time.perf_counter()
-    deadline = t0 + time_limit if time_limit is not None else None
+    deadline = t0 + time_limit if time_limit is not None else float("inf")
     bounds = []
 
     def clock():
@@ -268,7 +265,7 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     fort_count = hs_solves = 0
     for i in order:
         start = time.perf_counter()
-        if deadline is not None and start > deadline:
+        if start > deadline:
             break
         res = ihs_kernel_solve(parts[i], seed=seeds[i], deadline=deadline,
                                incumbent=solutions[i])

@@ -63,11 +63,13 @@ def test_solve_writes_trace(p3_file, tmp_path, capsys):
 ])
 def test_os_error_on_a_path_exit_code(argv, p3_file, tmp_path, monkeypatch,
                                       capsys):
-    # Each bad path fails before the solve, so no finished result is lost.
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the solve ran before the path failed")
+    # Each bad path fails before the solve or the reduction, so no
+    # finished result is lost.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the path failed")
 
-    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "solve", no_work)
+    monkeypatch.setattr(cli, "reduce_full", no_work)
     args = [a.format(dir=tmp_path, file=p3_file) for a in argv]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -266,7 +266,7 @@ def test_carried_kernel_matches_a_fresh_kernel(monkeypatch):
     for _ in range(300):
         sets = random_mask_family(rng)
         hittingset._solve(*hittingset._kernel([], sets, {}, -1),
-                          len(sets) + 1, 0, None)
+                          len(sets) + 1, 0, float("inf"))
     assert carried >= 1000
 
 
@@ -402,7 +402,7 @@ def test_branching_takes_the_element_hitting_most_sets_first(monkeypatch):
 
     monkeypatch.setattr(hittingset, "_kernel", recorded)
     assert hittingset._solve(*hittingset._kernel([], masks, {}, -1),
-                             7, 0, None)[1] == 3
+                             7, 0, float("inf"))[1] == 3
     # The first child takes element 1: it keeps exactly the sets without it.
     assert calls[1] == ([m for m in masks if not m & 0b10], [])
 

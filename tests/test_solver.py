@@ -423,3 +423,57 @@ def test_fort_sweep_cut_before_any_fort_times_out():
     assert res.status == TIMED_OUT and res.fort_count == 0
     assert len(observed_set(inst, res.solution.selected)) == inst.n
     assert res.lower_bound <= len(res.solution) == res.upper_bound
+
+
+def test_forts_of_a_sweep_that_ends_past_the_deadline_are_dropped(
+        monkeypatch):
+    # The first sweep finds its forts but returns only once the deadline
+    # has passed; no solve is left to use them, so they add no row.
+    inst = gridlike_graph(90, 11)
+    real = solver.find_forts
+    found = []
+
+    def late_forts(*args, **kwargs):
+        forts = real(*args, **kwargs)
+        found.append(len(forts))
+        time.sleep(max(0.0, kwargs["deadline"] - time.perf_counter()) + 0.01)
+        return forts
+
+    monkeypatch.setattr(solver, "find_forts", late_forts)
+    res = ihs_kernel_solve(inst, seed=0, deadline=time.perf_counter() + 0.05)
+    # The premise: the sweep found forts.
+    assert len(found) == 1 and found[0] > 0
+    assert res.status == TIMED_OUT and res.fort_count == 0
+    assert res.hitting_set_solves == 0
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+
+
+def test_a_sweep_with_no_new_neighborhood_fails_the_loop(monkeypatch):
+    inst = gridlike_graph(90, 11)
+    real = solver.find_forts
+    calls = []
+
+    def repeated(*args, **kwargs):
+        # A third sweep means the loop went on past the repeat.
+        assert len(calls) < 2, "a third fort sweep ran"
+        calls.append(real(*args, **kwargs))
+        return calls[0]
+
+    monkeypatch.setattr(solver, "find_forts", repeated)
+    with pytest.raises(AssertionError,
+                       match="fort generation added no new neighborhood"):
+        ihs_kernel_solve(inst, seed=0)
+
+
+def test_a_lower_bound_above_the_incumbent_fails_the_loop(monkeypatch):
+    inst = gridlike_graph(90, 11)
+    real = solver.solve_exact
+
+    def too_large(*args, **kwargs):
+        hit, _size = real(*args, **kwargs)
+        return hit, inst.n + 1
+
+    monkeypatch.setattr(solver, "solve_exact", too_large)
+    with pytest.raises(AssertionError,
+                       match="lower bound exceeded a feasible upper bound"):
+        ihs_kernel_solve(inst, seed=0)
