@@ -24,7 +24,7 @@ print("PDS MILP:", len(model.variables), "variables,",
       oracle_pds(inst)[0])
 print("\n".join(text.splitlines()[:9]), "\n ...")
 print("round-trips through the LP reader:",
-      parse_lp(text).normalized() == model.normalized())
+      parse_lp(text) == model)
 
 forts = find_forts(inst, frozenset(), seed=0)
 hs = HittingSetInstance(inst.undecided(),

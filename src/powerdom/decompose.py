@@ -2,8 +2,11 @@
 
 Propagation never passes through a selected vertex, so the connected
 components C_1..C_l of the graph induced by the non-pre-selected
-vertices can be solved separately on their closed neighborhoods N[C_i];
-the union of the per-component optima is a global optimum.
+vertices can be solved separately on their closed neighborhoods N[C_i],
+whose pre-selected vertices are the border of C_i in X. A selection of
+N[C_i] that holds its border observes C_i in the part exactly when it
+does so in the parent, so the union of the per-component optima is a
+global optimum, and one observation of that union checks every part.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .propagation import observe_from
 class SubInstance:
     instance: PdsInstance
     to_parent: tuple
-    component: frozenset  # parent ids of C_i (excludes the inherited X)
 
 
 @dataclass
@@ -55,16 +57,15 @@ def split(inst):
                 if w not in x_set and comp[w] == -1:
                     comp[w] = idx
                     queue.append(w)
-        components.append(sorted(members))
+        components.append(members)
 
     decomp = Decomposition(inst)
     for members in components:
-        component = frozenset(members)
         border = sorted({w for v in members for w in inst.adj[v]
                          if w in x_set})
         vertices = sorted(members + border)
         if len(vertices) == inst.n:
-            decomp.parts.append(SubInstance(inst, tuple(vertices), component))
+            decomp.parts.append(SubInstance(inst, tuple(vertices)))
             continue
         to_sub = {v: i for i, v in enumerate(vertices)}
         edges = [(to_sub[v], to_sub[w]) for v in members
@@ -78,28 +79,28 @@ def split(inst):
             excluded=[to_sub[v] for v in vertices if v in inst.excluded],
             labels={to_sub[v]: inst.labels[v]
                     for v in vertices if v in inst.labels})
-        decomp.parts.append(SubInstance(sub, tuple(vertices), component))
+        decomp.parts.append(SubInstance(sub, tuple(vertices)))
     return decomp
 
 
 def merge_solutions(decomp, parts):
     """Union the per-component solutions back into a parent solution.
 
-    Pre-selected vertices shared between subinstances are counted once:
-    only the C_i portion of each part is taken, the parent's X is added on
-    top. Each part is re-checked for feasibility on its subinstance.
+    Each part is checked against its subinstance and mapped to parent ids;
+    a border vertex maps into the parent's X, which the union holds
+    anyway, so shared pre-selected vertices are counted once. One
+    observation of the union on the parent then stands in for one per
+    part: a part's selection S_i holds its pre-selected set X_i, and
+    since propagation never passes a selected vertex, what S_i observes
+    of C_i depends only on S_i, inside the parent and inside the part
+    alike. So the union is feasible exactly when every part is.
     """
     if len(parts) != len(decomp.parts):
         raise ValueError("one solution per subinstance required")
     selected = set(decomp.parent.pre_selected)
     for sub, part in zip(decomp.parts, parts):
         part.validate(sub.instance)
-        if not observe_from(sub.instance, part.selected).is_complete():
-            raise ValueError("part is not feasible for its subinstance")
-        for v in part.selected:
-            parent_id = sub.to_parent[v]
-            if parent_id in sub.component:
-                selected.add(parent_id)
-    merged = SolutionSet(frozenset(selected))
-    merged.validate(decomp.parent)
-    return merged
+        selected.update(sub.to_parent[v] for v in part.selected)
+    if not observe_from(decomp.parent, selected).is_complete():
+        raise ValueError("a part is not feasible for its subinstance")
+    return SolutionSet(frozenset(selected))

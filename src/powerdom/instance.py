@@ -118,6 +118,8 @@ class SolutionSet:
         return len(self.selected)
 
     def validate(self, inst):
+        if not all(0 <= v < inst.n for v in self.selected):
+            raise ValueError("solution holds a vertex id outside 0..n-1")
         if not inst.pre_selected <= self.selected:
             raise ValueError("solution misses pre-selected vertices")
         if self.selected & inst.excluded:

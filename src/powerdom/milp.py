@@ -45,16 +45,6 @@ class MilpModel:
         cleaned = tuple((v, float(c)) for v, c in coeffs if c != 0)
         self.constraints.append(MilpConstraint(name, cleaned, sense, float(rhs)))
 
-    def normalized(self):
-        """Canonical form for equality comparison after a round-trip."""
-        return (
-            tuple(sorted((v, float(c)) for v, c in self.objective if c != 0)),
-            tuple(sorted((v.name, v.kind, float(v.lb), float(v.ub))
-                         for v in self.variables.values())),
-            tuple(sorted((c.name, tuple(sorted(c.coeffs)), c.sense, c.rhs)
-                         for c in self.constraints)),
-        )
-
 
 def build_pds_milp(inst):
     """Power domination MILP for an extension instance.

@@ -277,7 +277,9 @@ class _Work:
 
 # --- rule guards and applications -----------------------------------------
 # Each returns a ReductionEvent when the guard holds at the site and the
-# work state was mutated, else None.
+# work state was mutated, else None. No guard tests that its site is
+# alive: `_Driver._fire_next` does that once, and `apply_rule_once`
+# starts from a fresh work state, where every vertex is.
 
 
 def _deg1a(work, v):
@@ -308,8 +310,6 @@ def _deg1b(work, v):
 
 def _tri(work, site):
     x, y = site
-    if not (work.alive[x] and work.alive[y]):
-        return None
     if work.degree(x) != 2 or work.degree(y) != 2 or y not in work.adj[x]:
         return None
     # Pre-selected endpoints must stay; deleting them would drop a forced
@@ -422,7 +422,7 @@ def _obse(work, site):
     """Rewire an edge between observed vertices that are not pre-selected
     to the smallest pre-selected id."""
     v, w = site
-    if not (work.alive[v] and work.alive[w]) or w not in work.adj[v]:
+    if w not in work.adj[v]:
         return None
     if work.status[v] == PRE or work.status[w] == PRE:
         return None
@@ -541,15 +541,13 @@ def _necn(work, state, v):
 
 def _dom_single(work, site):
     v, w = site
-    if not (work.alive[v] and work.alive[w]) or v == w:
-        return None
-    if work.status[v] != UND:
+    if v == w or work.status[v] != UND:
         return None
     return _dom(work, observe_from(work, work.obs.selected | {v}), v, w)
 
 
 def _necn_single(work, v):
-    if not work.alive[v] or work.status[v] != UND:
+    if work.status[v] != UND:
         return None
     others = [u for u in work.undecided() if u != v]
     return _necn(work, observe_from(work, work.obs.selected.union(others)), v)
@@ -725,7 +723,9 @@ class _Driver:
     def _fire_next(self):
         """Fire the first local rule, in `LOCAL_RULES` order, whose guard
         holds at a pending site, at its smallest such site. Sites that fail
-        are dropped; returns False when no pending site holds."""
+        are dropped; returns False when no pending site holds. A site is
+        tried only when its vertex is alive, or its edge present, which
+        implies that both ends are."""
         work = self.work
         for pending in self.pending:
             fn = pending.apply
@@ -884,8 +884,10 @@ def lift_solution(log, kernel_solution):
     a feasible kernel solution already contains them; lifting is the id
     translation plus a feasibility re-check.
     """
-    mapped = frozenset(log.kernel_to_original[v]
-                       for v in kernel_solution.selected)
+    to_original = log.kernel_to_original
+    if not all(0 <= v < len(to_original) for v in kernel_solution.selected):
+        raise ValueError("kernel solution holds an id outside the kernel")
+    mapped = frozenset(to_original[v] for v in kernel_solution.selected)
     lifted = SolutionSet(mapped | log.original.pre_selected)
     lifted.validate(log.original)
     if not observe_from(log.original, lifted.selected).is_complete():

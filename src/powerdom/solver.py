@@ -64,7 +64,8 @@ def greedy_complete(inst, h=(), deadline=float("inf"), state=None):
     propagating tie-break. Selecting only lowers gains, so a vertex whose
     gain reaches 0 leaves the scan. The last vertex added is kept without
     a test: dropping it restores the state before its pick, which was
-    not complete.
+    not complete. An `h` that holds an excluded vertex or an id outside
+    0..n-1 raises ValueError.
 
     `state`, when given, must equal `observe_from(inst, h | X)`; it is
     used in place of a fresh one and left changed. The result is the same.
@@ -76,6 +77,7 @@ def greedy_complete(inst, h=(), deadline=float("inf"), state=None):
     set is feasible exactly when the instance is.
     """
     base = frozenset(h) | inst.pre_selected
+    SolutionSet(base).validate(inst)
     if state is None:
         state = observe_from(inst, base)
     observed, unobs_count = state.observed, state.unobs_count
@@ -123,9 +125,11 @@ def ihs_kernel_solve(sub, seed=0, deadline=float("inf"), incumbent=None):
     loop returns TimedOut with the best solution so far. Each pass of
     the loop is one round: a fort sweep for the last hitting set (empty
     at first), the deadline test, then an exact solve over the rows so
-    far. The result's `bounds` start with the pre-selected count as lower
-    bound and the incumbent's size as upper bound, then gain an entry
-    each time `lower` rises or the incumbent shrinks; values count the
+    far. The loop runs while the lower bound is below the incumbent's
+    size, so the result is Optimal exactly when the two meet. The
+    result's `bounds` start with the pre-selected count as lower bound
+    and the incumbent's size as upper bound, then gain an entry each
+    time `lower` rises or the incumbent shrinks; values count the
     instance's pre-selected vertices. `incumbent` is
     `greedy_complete(sub)` when the caller has it already.
 
@@ -151,10 +155,6 @@ def ihs_kernel_solve(sub, seed=0, deadline=float("inf"), incumbent=None):
     def bound(kind, value):
         bounds.append((time.perf_counter() - t0, kind, value))
 
-    def result(status, solution, gamma, lower, upper, forts, solves):
-        return SolveResult(status, solution, gamma, lower, upper, forts,
-                           solves, time.perf_counter() - t0, {}, seed, bounds)
-
     x_size = len(sub.pre_selected)
     best = (incumbent if incumbent is not None
             else greedy_complete(sub, (), deadline=deadline))
@@ -162,14 +162,15 @@ def ihs_kernel_solve(sub, seed=0, deadline=float("inf"), incumbent=None):
     bound("upper", len(best))
     if len(best) == x_size:
         # The pre-selected set alone observes everything.
-        return result(OPTIMAL, best, x_size, x_size, x_size, 0, 0)
+        return SolveResult(OPTIMAL, best, x_size, x_size, x_size, 0, 0,
+                           time.perf_counter() - t0, {}, seed, bounds)
 
     rng = random.Random(seed)
     hs = HittingSetInstance(frozenset(sub.undecided()))
     hit, state = frozenset(), None
     solves = 0
     lower = x_size
-    while True:
+    while lower < len(best):
         forts = find_forts(sub, hit, seed=rng, deadline=deadline, state=state)
         # A sweep the deadline cut short may find nothing new, and no
         # solve is left to use what it found.
@@ -205,11 +206,11 @@ def ihs_kernel_solve(sub, seed=0, deadline=float("inf"), incumbent=None):
             if len(completion) < len(best):
                 best = completion
                 bound("upper", len(best))
-        if lower == len(best):
-            # Bound sandwich: the incumbent is optimal.
-            return result(OPTIMAL, best, lower, lower, lower,
-                          len(hs), solves)
-    return result(TIMED_OUT, best, None, lower, len(best), len(hs), solves)
+    # Bound sandwich: the incumbent is optimal when the bounds meet.
+    optimal = lower == len(best)
+    return SolveResult(OPTIMAL if optimal else TIMED_OUT, best,
+                       lower if optimal else None, lower, len(best), len(hs),
+                       solves, time.perf_counter() - t0, {}, seed, bounds)
 
 
 def solve(inst, reductions="all", seed=0, time_limit=None):
@@ -284,10 +285,9 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     lifted = lift_solution(log, merge_solutions(decomp, solutions))
     lower = x_size + sum(lowers)
     upper = x_size + sum(uppers)
-    if lower < upper:
-        return result(TIMED_OUT, lifted, None, lower, upper,
-                      fort_count, hs_solves)
     if len(lifted) != upper:
         raise AssertionError("incumbent size differs from the upper bound")
-    return result(OPTIMAL, lifted, upper, upper, upper,
+    optimal = lower == upper
+    return result(OPTIMAL if optimal else TIMED_OUT, lifted,
+                  upper if optimal else None, lower, upper,
                   fort_count, hs_solves)

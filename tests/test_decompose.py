@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from powerdom import merge_solutions, oracle_pds, split
 from powerdom.instance import PdsInstance, SolutionSet
+from powerdom.propagation import observe_from
 
 from conftest import oracle_gamma, path_graph, random_instance
 
@@ -38,7 +41,8 @@ def test_split_partitions_non_x_vertices():
         decomp = split(inst)
         seen = []
         for part in decomp.parts:
-            seen.extend(part.component)
+            seen.extend(p for i, p in enumerate(part.to_parent)
+                        if i not in part.instance.pre_selected)
         assert sorted(seen) == [v for v in range(inst.n)
                                 if v not in inst.pre_selected]
 
@@ -59,6 +63,32 @@ def test_merge_rejects_infeasible_part():
         merge_solutions(decomp, [SolutionSet(frozenset())])
 
 
+def test_merge_rejects_exactly_what_a_check_per_part_rejects():
+    # Seeded selections hold each part's pre-selected set and avoid its
+    # excluded one; the reference observes every part on its own.
+    rejected = 0
+    for seed in range(300):
+        inst = random_instance(seed)
+        decomp = split(inst)
+        rng = random.Random(seed)
+        p = rng.random()
+        parts, expected, feasible = [], set(inst.pre_selected), True
+        for part in decomp.parts:
+            sub = part.instance
+            chosen = sub.pre_selected | {v for v in sub.undecided()
+                                         if rng.random() < p}
+            parts.append(SolutionSet(frozenset(chosen)))
+            feasible &= observe_from(sub, chosen).is_complete()
+            expected |= {part.to_parent[v] for v in chosen}
+        if feasible:
+            assert merge_solutions(decomp, parts).selected == expected
+        else:
+            rejected += 1
+            with pytest.raises(ValueError):
+                merge_solutions(decomp, parts)
+    assert 0 < rejected < 300
+
+
 def test_merge_matches_direct_optimum():
     for seed in range(120):
         inst = random_instance(seed, n_max=10)
@@ -74,9 +104,7 @@ def test_merge_matches_direct_optimum():
                 feasible = False
                 break
             parts.append(witness)
-            total += len(witness.selected & {
-                i for i, p in enumerate(part.to_parent)
-                if p in part.component})
+            total += len(witness.selected - part.instance.pre_selected)
         if not feasible:
             assert direct is None
             continue

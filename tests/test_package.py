@@ -158,3 +158,28 @@ def test_deferred_names_resolve_as_an_eager_import_would():
     assert out["listed"] == out["star"] == out["held"]
     assert out["listed"] == sorted(powerdom.__all__)
     assert out["loaded"] == sorted(SOLVE_PATH + DEFERRED)
+
+
+def test_the_traced_benchmark_finds_every_name_it_wraps():
+    # perfbench/tracing.py swaps public names where the solve path binds
+    # them; a name that moves or goes would drop its span.
+    bench = str(ROOT / "perfbench")
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, bench)
+    try:
+        from tracing import Tracer
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(bench)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        solve(gridlike_graph(60, 1), reductions="none")
+    finally:
+        tracer.uninstall()
+    assert {name for name, *_ in tracer.spans} == {
+        "reductions.reduce_full", "decompose.split", "decompose.merge",
+        "solver.lift", "solver.ihs", "solver.greedy", "forts.find",
+        "hittingset.solve_exact", "propagation.observe_from"}
+    assert powerdom.solver.split is powerdom.decompose.split

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from powerdom import (INFEASIBLE, OPTIMAL, TIMED_OUT, PdsInstance,
-                      greedy_complete, hittingset, ihs_kernel_solve, solve,
-                      solver)
+                      SolutionSet, greedy_complete, hittingset,
+                      ihs_kernel_solve, lift_solution, merge_solutions,
+                      reduce_full, solve, solver, split)
 from powerdom.bruteforce import observed_set
 from powerdom.errors import InfeasibleInstanceError
 from powerdom.hittingset import HittingSetTimeout
@@ -235,6 +236,7 @@ def test_timed_out_run_keeps_the_bounds_of_the_parts_it_reached():
     res = solve(inst, reductions="none", time_limit=1.0)
     assert res.status == TIMED_OUT
     assert res.lower_bound >= 1 + 3 * 2
+    assert len(res.solution) == res.upper_bound
     times = [t for t, _, _ in res.bounds]
     assert times == sorted(times)
     assert len(observed_set(inst, res.solution.selected)) == inst.n
@@ -477,3 +479,22 @@ def test_a_lower_bound_above_the_incumbent_fails_the_loop(monkeypatch):
     with pytest.raises(AssertionError,
                        match="lower bound exceeded a feasible upper bound"):
         ihs_kernel_solve(inst, seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 3, 7])
+def test_vertex_ids_outside_the_instance_are_rejected(bad):
+    # Negative ids once indexed from the end of an id table.
+    inst = path_graph(3)
+    _, log, _ = reduce_full(inst, "none")
+    wrong = SolutionSet(frozenset({1, bad}))
+    with pytest.raises(ValueError):
+        merge_solutions(split(inst), [wrong])
+    with pytest.raises(ValueError):
+        lift_solution(log, wrong)
+    with pytest.raises(ValueError):
+        greedy_complete(inst, h={bad})
+
+
+def test_greedy_rejects_an_excluded_vertex_in_h():
+    with pytest.raises(ValueError):
+        greedy_complete(path_graph(3, excluded=[0]), h={0})
