@@ -17,7 +17,11 @@ edge or a propagating flag, or adding an edge, invalidates exactly the
 observations whose derivation the edit may break, together with
 everything derived through them, and then re-propagates from the
 boundary; so the state always equals a from-scratch recomputation on
-the current graph and selection.
+the current graph and selection. An edge edit between two observed
+vertices changes no observed flag when each end keeps a dominator or a
+link that does not run along the edge and, for an added edge, each link
+out of an end points at a dominated vertex; such an edit updates the
+counts, drops those links and returns at once.
 
 A vertex propagates to its single unobserved neighbour, after which all
 its neighbours are observed, so it has at most one propagation child at
@@ -302,11 +306,21 @@ class ObservationState:
         observed, selected = self.observed, self.selected
         self.unobs_count[u] += not observed[v]
         self.unobs_count[v] += not observed[u]
-        self.dom_count[u] += v in selected
-        self.dom_count[v] += u in selected
+        dom_count, parent, child = (self.dom_count, self.prop_parent,
+                                    self.prop_child)
+        dom_count[u] += v in selected
+        dom_count[v] += u in selected
         # Propagations out of u and v counted on their old neighborhoods.
-        children = (self.prop_child[u], self.prop_child[v])
-        return self._edit([w for w in children if w != -1], (u, v))
+        children = [w for w in (child[u], child[v]) if w != -1]
+        if observed[u] and observed[v] and all(dom_count[w] for w in children):
+            # Only the links out of u and v read the new edge. Dropping
+            # them unmarks nothing, since their children are dominated,
+            # and neither end gains an unobserved neighbour, so no vertex
+            # can propagate.
+            for w in children:
+                child[parent[w]] = parent[w] = -1
+            return []
+        return self._edit(children, (u, v))
 
     def edge_removed(self, u, v):
         """Report that the edge uv was removed from the graph."""
@@ -314,12 +328,17 @@ class ObservationState:
         observed, selected = self.observed, self.selected
         self.unobs_count[u] -= not observed[v]
         self.unobs_count[v] -= not observed[u]
-        self.dom_count[u] -= v in selected
-        self.dom_count[v] -= u in selected
+        dom_count, parent = self.dom_count, self.prop_parent
+        dom_count[u] -= v in selected
+        dom_count[v] -= u in selected
         # An end loses its link if the other end propagated to it, and may
         # have lost its last dominator if it has no link.
-        parent = self.prop_parent
         seeds = [t for t, s in ((u, v), (v, u)) if parent[t] in (s, -1)]
+        if observed[u] and observed[v] and all(
+                parent[t] == -1 and dom_count[t] for t in seeds):
+            # Every end keeps its link or a dominator, and no observed
+            # vertex gains an unobserved neighbour, so nothing changes.
+            return []
         return self._edit(seeds, (u, v))
 
     def flag_cleared(self, v):

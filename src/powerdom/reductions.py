@@ -31,17 +31,22 @@ each rule whose guard reads an input at the site that the event changed:
   under, and its neighbours on Deg2c, which also reads its neighbours'
   flags;
 - ObsE reads only its edge, the ends' statuses and their observed flags,
-  so it also takes back the edges the event added.
+  so it also takes back the edges the event added between two observed
+  ends.
 
 A site goes back only on the sets of the rules that accept its class,
-the status, degree and propagating flag of its vertex or of both ends of
-its edge; each kind of put-back above reads a table, built once per rule
-set, of the rules that read its input and accept each class. A rule's
-guard fails at any other class, and every change of a vertex's class is
-a recorded change of its status or flag or of an edge at it. No rule
-accepts a pre-selected vertex, so a site there never comes back, and
-pre-selection is final. So a site outside the set never holds, and the
-smallest pending site that holds is the one a full rescan would fire:
+the status, degree, propagating flag and observed flag of its vertex or
+of both ends of its edge; each kind of put-back above reads a table,
+built once per rule set, of the rules that read its input and accept
+each class. A rule's guard fails at any other class, and every change of
+a vertex's class is a recorded change of its status, of either flag or
+of an edge at it. After each event the flags the sets were last put
+back under equal the observed flags, so a vertex that turns observed
+later is one whose flag differs from them, and its sites go back on the
+rules that read the flag. No rule accepts a pre-selected vertex, so a
+site there never comes back, and pre-selection is final. So a site
+outside the set never holds, and the smallest pending site that holds
+is the one a full rescan would fire:
 the worklist changes how many guards are tried, not which rule fires
 where. The driver also skips a Dom or NecN pass when nothing but its own
 events has been recorded since it last ran, because such a pass could
@@ -453,20 +458,25 @@ _LOCAL_APPLY = {
 
 _EDGE_SITE_RULES = {RuleId.OBSE, RuleId.TRI, RuleId.DOM}
 # Whether a local rule's guard can hold at a vertex of status s, degree d
-# (3 standing for 3 or more) and propagating flag p: at the site's vertex,
-# or at both ends of an edge site. Observed flags are left out, because
-# they may flip and flip back before the rule is next scanned.
+# (3 standing for 3 or more), propagating flag p and observed flag o: at
+# the site's vertex, or at both ends of an edge site. A site left out
+# while its vertex is unobserved comes back when the vertex turns
+# observed: after every recorded event the flags the sets were last put
+# back under equal the observed flags, so that vertex is one whose flag
+# differs from them at the next event and goes back on every rule that
+# reads it. A Dom trial's selection only adds observed flags, so an event
+# recorded under it can only put back more sites.
 _ACCEPTS = {
-    RuleId.DEG1A: lambda s, d, p: s == UND and d == 1,
-    RuleId.DEG1B: lambda s, d, p: s == EXC and d == 1,
-    RuleId.TRI: lambda s, d, p: s != PRE and d == 2,
-    RuleId.DEG2A: lambda s, d, p: s == UND and d == 2 and p,
-    RuleId.DEG2B: lambda s, d, p: s == EXC and d == 2 and p,
-    RuleId.DEG2C: lambda s, d, p: s == EXC and d >= 2 and p,
-    RuleId.ONLYN: lambda s, d, p: s == EXC and d == 2 and p,
-    RuleId.ISOL: lambda s, d, p: s == UND and d == 0,
-    RuleId.OBSNP: lambda s, d, p: s == EXC and not p,
-    RuleId.OBSE: lambda s, d, p: s != PRE,
+    RuleId.DEG1A: lambda s, d, p, o: s == UND and d == 1,
+    RuleId.DEG1B: lambda s, d, p, o: s == EXC and d == 1,
+    RuleId.TRI: lambda s, d, p, o: s != PRE and d == 2,
+    RuleId.DEG2A: lambda s, d, p, o: s == UND and d == 2 and p,
+    RuleId.DEG2B: lambda s, d, p, o: s == EXC and d == 2 and p,
+    RuleId.DEG2C: lambda s, d, p, o: s == EXC and d >= 2 and p and o,
+    RuleId.ONLYN: lambda s, d, p, o: s == EXC and d == 2 and p,
+    RuleId.ISOL: lambda s, d, p, o: s == UND and d == 0,
+    RuleId.OBSNP: lambda s, d, p, o: s == EXC and not p and o,
+    RuleId.OBSE: lambda s, d, p, o: s != PRE and o,
 }
 # The local rules whose guards read each input an event can change. Every
 # rule but ObsE reads the site's own class and the structure around it:
@@ -487,21 +497,24 @@ _READS_NEIGHBOUR_OBSERVED = frozenset({RuleId.DEG2C})
 @functools.lru_cache(maxsize=None)
 def _class_table(enabled, readers):
     """For each vertex class (status s, degree d capped at 3, propagating
-    flag p), at index 8 s + 2 d + p, the positions in `enabled` of the
-    vertex-site rules in `readers` that accept it, and of the edge-site
-    rules in `readers` that accept it as one end of an edge. It depends
-    only on its arguments, so it is built once per pair of rule sets."""
+    flag p, observed flag o), at index 16 s + 4 d + 2 p + o, the positions
+    in `enabled` of the vertex-site rules in `readers` that accept it, and
+    of the edge-site rules in `readers` that accept it as one end of an
+    edge. It depends only on its arguments, so it is built once per pair
+    of rule sets."""
     table = []
     for s in (UND, PRE, EXC):
         for d in range(4):
             for p in (False, True):
-                accepting = [(i, rule) for i, rule in enumerate(enabled)
-                             if rule in readers and _ACCEPTS[rule](s, d, p)]
-                table.append((
-                    tuple(i for i, rule in accepting
-                          if rule not in _EDGE_SITE_RULES),
-                    tuple(i for i, rule in accepting
-                          if rule in _EDGE_SITE_RULES)))
+                for o in (False, True):
+                    accepting = [(i, rule) for i, rule in enumerate(enabled)
+                                 if rule in readers
+                                 and _ACCEPTS[rule](s, d, p, o)]
+                    table.append((
+                        tuple(i for i, rule in accepting
+                              if rule not in _EDGE_SITE_RULES),
+                        tuple(i for i, rule in accepting
+                              if rule in _EDGE_SITE_RULES)))
     return tuple(table)
 
 
@@ -565,15 +578,22 @@ def apply_rule_once(inst, rule, site):
     """Apply one rule at one site if its guard holds.
 
     `site` is a vertex id for vertex rules, an edge pair for Tri/ObsE and
-    an ordered vertex pair for Dom. A fire is recorded as `reduce_full`
-    records one, so it must lower the reduction measure. Returns a
-    RuleApplication whose instance is compacted to dense ids with
-    `to_original` mapping kernel ids back.
+    an ordered vertex pair for Dom; a site with an id outside 0..n-1
+    raises ValueError. A fire is recorded as `reduce_full` records one,
+    so it must lower the reduction measure. Returns a RuleApplication
+    whose instance is compacted to dense ids with `to_original` mapping
+    kernel ids back.
     """
+    if rule in _EDGE_SITE_RULES:
+        site = ends = tuple(site)
+    else:
+        ends = (site,)
+    if not all(0 <= v < inst.n for v in ends):
+        raise ValueError(f"site {site!r} holds a vertex id outside 0..n-1")
     driver = _Driver(inst, ())
     fn = {RuleId.DOM: _dom_single, RuleId.NECN: _necn_single}.get(rule)
     fn = fn or _LOCAL_APPLY[rule]
-    event = fn(driver.work, tuple(site) if rule in _EDGE_SITE_RULES else site)
+    event = fn(driver.work, site)
     if event is None:
         return RuleApplication(False, inst, None, tuple(range(inst.n)))
     driver._record(event)
@@ -655,7 +675,7 @@ class _Driver:
         self.measure = measure
         self.events.append(event)
         if self.pending:
-            adj, status = work.adj, work.status
+            adj, status, observed = work.adj, work.status, work.obs.observed
             # Own class and the structure around it: a vertex whose status
             # or flag changed, the neighbours of a cleared flag, and around
             # each edited edge its ends, their common neighbours and the
@@ -674,14 +694,15 @@ class _Driver:
                     if len(adj[end]) <= 2:
                         touched |= adj[end]
                 if (self.obse is not None and v in adj[u]
-                        and status[u] != PRE and status[v] != PRE):
+                        and status[u] != PRE and status[v] != PRE
+                        and observed[u] and observed[v]):
                     self.obse.add((u, v))
             self._requeue(touched, self.own_table)
             self._requeue({w for v in work.status_changed for w in adj[v]},
                           self.neighbour_status_table)
             # A Dom fire, recorded under the pass's trial selection, only
             # excludes, which leaves `obs` and so `obs_changed` alone.
-            observed, tested = work.obs.observed, self.tested_observed
+            tested = self.tested_observed
             flipped = [v for v in work.obs_changed if observed[v] != tested[v]]
             for v in flipped:
                 tested[v] = observed[v]
@@ -700,21 +721,22 @@ class _Driver:
         vertices are skipped."""
         work = self.work
         status, adj, alive = work.status, work.adj, work.alive
-        propagating = work.propagating
+        propagating, observed = work.propagating, work.obs.observed
         queues = self.pending
         for v in vertices:
             if not alive[v]:
                 continue
             d = len(adj[v])
             vertex_queues, edge_queues = table[
-                8 * status[v] + 2 * (d if d < 3 else 3) + propagating[v]]
+                16 * status[v] + 4 * (d if d < 3 else 3)
+                + 2 * propagating[v] + observed[v]]
             for i in vertex_queues:
                 queues[i].add(v)
             if edge_queues:
                 for w in adj[v]:
                     d = len(adj[w])
-                    at_w = table[8 * status[w] + 2 * (d if d < 3 else 3)
-                                 + propagating[w]][1]
+                    at_w = table[16 * status[w] + 4 * (d if d < 3 else 3)
+                                 + 2 * propagating[w] + observed[w]][1]
                     edge = (v, w) if v < w else (w, v)
                     for i in edge_queues:
                         if i in at_w:

@@ -221,9 +221,11 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     default none. Deterministic for a fixed seed when no timeout occurs.
     The parts are solved one after another, smallest first, under a
     shared deadline that also cuts the reduction short, so a timed-out
-    run has proved what it can on every part it reached. Each part's seed
-    is the 64-bit draw of that index from a stdlib `random.Random(seed)`,
-    so its result does not depend on the order. A part's `bounds` go into
+    run has proved what it can on every part it reached. A part that the
+    kernel's pre-selected set X alone observes is not solved: its X is its
+    solution. Each part's seed is the 64-bit draw of that part's index
+    from a stdlib `random.Random(seed)`, so its result does not depend on
+    the order or on the parts left out. A part's `bounds` go into
     the result's `bounds` as soon as it returns, timed from the call's
     start.
     """
@@ -245,12 +247,21 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     parts = [part.instance for part in decomp.parts]
     x_size = len(kernel.pre_selected)
 
-    # Every part starts from its greedy incumbent; greedy fails exactly
-    # when the part is infeasible. Bounds are kept per part beyond its
-    # inherited X: a part X does not already observe needs one more vertex.
+    # A part whose every vertex X observes in the kernel is observed by its
+    # border alone, so its own X is its optimum, which is what the greedy
+    # completion and the IHS loop would return. Every other part starts
+    # from its greedy incumbent; greedy fails exactly when the part is
+    # infeasible. Bounds are kept per part beyond its inherited X: a part
+    # X does not already observe needs one more vertex.
+    solutions = [SolutionSet(part.pre_selected) for part in parts]
+    open_parts = range(len(parts))
+    if kernel.pre_selected:
+        observed = observe_from(kernel, kernel.pre_selected).observed
+        open_parts = [i for i, part in enumerate(decomp.parts)
+                      if not all(observed[v] for v in part.to_parent)]
     try:
-        solutions = [greedy_complete(part, deadline=deadline)
-                     for part in parts]
+        for i in open_parts:
+            solutions[i] = greedy_complete(parts[i], deadline=deadline)
     except InfeasibleInstanceError:
         return result(INFEASIBLE, None, None, 0, None, 0, 0)
     part_x = [len(part.pre_selected) for part in parts]
@@ -262,7 +273,7 @@ def solve(inst, reductions="all", seed=0, time_limit=None):
     rng = random.Random(seed)
     seeds = [rng.getrandbits(64) for _ in parts]
     # sorted is stable, so parts of equal size keep their index order.
-    order = sorted(range(len(parts)), key=lambda i: parts[i].n)
+    order = sorted(open_parts, key=lambda i: parts[i].n)
     fort_count = hs_solves = 0
     for i in order:
         start = time.perf_counter()

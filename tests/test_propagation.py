@@ -96,8 +96,8 @@ def test_observation_neighborhood():
 def _links_are_a_forest(state):
     # Counts match a recount; propagation parents and children mirror
     # each other; a vertex is observed exactly when it is dominated or
-    # has a parent; every link is a valid propagation; and following
-    # parents ends at a dominated vertex.
+    # has a parent; every link is a valid propagation; following parents
+    # ends at a dominated vertex; and the links derive the observation.
     inst, observed = state.inst, state.observed
     for t in range(inst.n):
         assert state.dom_count[t] == sum(
@@ -119,6 +119,20 @@ def _links_are_a_forest(state):
             seen.add(cur)
             cur = state.prop_parent[cur]
         assert state.dom_count[cur] or not observed[cur]
+    # Replay the links from the vertices that are dominated and have no
+    # parent, each once every other neighbour of its source is reached. A
+    # link whose source needs its own child first, through a cycle of
+    # links, never fires, and its end stays unreached.
+    reached = [bool(state.dom_count[v]) and state.prop_parent[v] == -1
+               for v in range(inst.n)]
+    grew = True
+    while grew:
+        grew = False
+        for u, w in children:
+            if not reached[w] and reached[u] and all(
+                    reached[t] for t in inst.adj[u] if t != w):
+                reached[w] = grew = True
+    assert reached == observed, "links do not derive the observation"
 
 
 def _exhausted(state):
@@ -334,6 +348,24 @@ class _EditableGraph:
                            self.propagating)
 
 
+def _edit_matches_recompute(state, graph, before, changed, op):
+    """The state after operation `op` equals a recomputation on the
+    current graph, and `changed`, unless None, holds every vertex whose
+    observed flag differs from `before`."""
+    ref = observe_from(graph, state.selected)
+    assert state.observed == ref.observed, op
+    assert state.observed_vertices() == observed_set(
+        graph.instance(), state.selected), op
+    assert state.unobs_count == ref.unobs_count, op
+    assert state.observed_count == ref.observed_count, op
+    if changed is not None:
+        flipped = {v for v in range(graph.n)
+                   if before[v] != state.observed[v]}
+        assert flipped <= set(changed), op
+    _links_are_a_forest(state)
+    _exhausted(state)
+
+
 def test_graph_edits_match_recompute():
     # Each edit must leave the state equal to a recomputation and report
     # every vertex whose observed flag it flipped. The random edge
@@ -392,18 +424,65 @@ def test_graph_edits_match_recompute():
                     changed += state.edge_removed(v, w)
                 assert not state.observed[v]
             counts[op] += 1
-            ref = observe_from(graph, state.selected)
-            assert state.observed == ref.observed, op
-            assert state.observed_vertices() == observed_set(
-                graph.instance(), state.selected), op
-            assert state.unobs_count == ref.unobs_count, op
-            assert state.observed_count == ref.observed_count, op
-            flipped = {v for v in range(inst.n)
-                       if before[v] != state.observed[v]}
-            assert flipped <= set(changed), op
-            _links_are_a_forest(state)
-            _exhausted(state)
+            _edit_matches_recompute(state, graph, before, changed, op)
     assert min(counts.values()) > 200
+
+
+def test_edits_between_observed_vertices_match_recompute():
+    # Edge edits between observed vertices, one end often selected, next to
+    # selects and deselects: most of them change no observed flag, and
+    # each must still leave links that derive the observation, since a
+    # cycle of links would keep its vertices observed after a deselect.
+    # An add that returned at once whenever an observed end is selected
+    # leaves such cycles, and fails here on the derivation check.
+    rng = random.Random(5)
+    counts = dict.fromkeys(("select", "deselect", "add", "remove"), 0)
+    for seed in range(120):
+        inst = random_instance(seed, n_max=16, m_max=24, n_min=5,
+                               x_max=0, y_max=0)
+        graph = _EditableGraph(inst)
+        state = observe_from(graph, rng.sample(range(inst.n), 2))
+        for _ in range(40):
+            before = list(state.observed)
+            observed = [v for v in range(inst.n) if state.observed[v]]
+            op = rng.choice(("select", "deselect", "add", "add", "remove"))
+            changed = []
+            if op == "select":
+                free = [v for v in range(inst.n) if v not in state.selected]
+                if not free:
+                    continue
+                mark = state.checkpoint()
+                state.select(rng.choice(free))
+                changed = state.marked_since(mark)
+                state.release(mark)
+            elif op == "deselect":
+                if not state.selected:
+                    continue
+                state.deselect(rng.choice(sorted(state.selected)))
+            elif op == "add":
+                ends = (sorted(state.selected) if rng.random() < 0.6
+                        else observed)
+                if not ends or len(observed) < 2:
+                    continue
+                u, v = rng.choice(ends), rng.choice(observed)
+                if u == v or v in graph.adj[u]:
+                    continue
+                graph.adj[u].add(v)
+                graph.adj[v].add(u)
+                changed = state.edge_added(u, v)
+            else:
+                edges = [(u, v) for u in observed for v in graph.adj[u]
+                         if u < v and state.observed[v]]
+                if not edges:
+                    continue
+                u, v = rng.choice(edges)
+                graph.adj[u].discard(v)
+                graph.adj[v].discard(u)
+                changed = state.edge_removed(u, v)
+            counts[op] += 1
+            _edit_matches_recompute(state, graph, before,
+                                    None if op == "deselect" else changed, op)
+    assert min(counts.values()) > 500
 
 
 def test_graph_edits_raise_while_a_checkpoint_is_open():

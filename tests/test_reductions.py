@@ -117,6 +117,20 @@ def test_obse_needs_pre_selected():
     assert not apply_rule_once(inst, RuleId.OBSE, (1, 2)).changed
 
 
+@pytest.mark.parametrize("rule", list(RuleId), ids=lambda rule: rule.value)
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_apply_rule_once_rejects_a_site_outside_the_instance(rule, bad):
+    # Site -1 once excluded vertex 2 of the path and logged -1.
+    inst = path_graph(3)
+    if rule in reductions._EDGE_SITE_RULES:
+        sites = [(bad, 1), (1, bad)]
+    else:
+        sites = [bad]
+    for site in sites:
+        with pytest.raises(ValueError, match="outside"):
+            apply_rule_once(inst, rule, site)
+
+
 def test_dom_star():
     star = star_graph(3)
     res = apply_rule_once(star, RuleId.DOM, (0, 1))
@@ -583,7 +597,8 @@ def _in_class(inst, rule, site):
     accepts = reductions._ACCEPTS[rule]
     ends = site if isinstance(site, tuple) else (site,)
     return all(accepts(work.status[v], min(work.degree(v), 3),
-                       work.propagating[v]) for v in ends)
+                       work.propagating[v], work.obs.observed[v])
+               for v in ends)
 
 
 def test_site_classes_keep_every_site_whose_guard_holds():

@@ -253,6 +253,62 @@ def test_expired_deadline_with_meeting_bounds_is_optimal():
     assert len(observed_set(inst, res.solution.selected)) == inst.n
 
 
+def _alternating_parts():
+    """A pre-selected hub 0 with six parts hanging off it, in this index
+    order: paths of 2, 4 and 6 vertices, which the hub observes alone,
+    each followed by a cycle of 5, 7 or 9 vertices joined to the hub at
+    one vertex, which it does not."""
+    edges, n = [], 1
+    for j in range(3):
+        path = list(range(n, n + 2 * j + 2))
+        edges += [(0, path[0])] + list(zip(path, path[1:]))
+        n += len(path)
+        cycle = list(range(n, n + 2 * j + 5))
+        edges += [(0, cycle[0])] + list(zip(cycle, cycle[1:] + cycle[:1]))
+        n += len(cycle)
+    return PdsInstance(n, edges, pre_selected=[0])
+
+
+def test_parts_x_observes_are_not_solved(monkeypatch):
+    # Neither the greedy completion nor the IHS loop runs on a part the
+    # hub observes alone, and each other part's result is that of the
+    # IHS loop under the seed drawn at the part's index.
+    inst = _alternating_parts()
+    parts = [part.instance for part in split(inst).parts]
+    assert [observe_from(part, part.pre_selected).is_complete()
+            for part in parts] == [True, False] * 3
+    greedy, ihs = solver.greedy_complete, solver.ihs_kernel_solve
+    greedy_on, solved = [], []
+
+    def counted_greedy(part, *args, **kwargs):
+        greedy_on.append(part)
+        return greedy(part, *args, **kwargs)
+
+    def counted_ihs(part, **kwargs):
+        res = ihs(part, **kwargs)
+        solved.append((part, kwargs["seed"], res))
+        return res
+
+    monkeypatch.setattr(solver, "greedy_complete", counted_greedy)
+    monkeypatch.setattr(solver, "ihs_kernel_solve", counted_ihs)
+    res = solve(inst, reductions="none", seed=3)
+    open_parts = parts[1::2]
+    assert greedy_on and all(part in open_parts for part in greedy_on)
+    assert [part for part, _, _ in solved] == open_parts
+    rng = random.Random(3)
+    seeds = [rng.getrandbits(64) for _ in parts]
+    for (part, seed, got), i in zip(solved, (1, 3, 5)):
+        assert seed == seeds[i]
+        want = ihs_kernel_solve(parts[i], seed=seeds[i])
+        assert (got.status, got.solution, got.fort_count,
+                got.hitting_set_solves) == (want.status, want.solution,
+                                            want.fort_count,
+                                            want.hitting_set_solves)
+        assert ([b[1:] for b in got.bounds] == [b[1:] for b in want.bounds])
+    assert res.status == OPTIMAL and res.gamma_p == 1 + 3
+    assert len(observed_set(inst, res.solution.selected)) == inst.n
+
+
 def test_deadline_cuts_a_hitting_set_solve(monkeypatch):
     # Under seed 0 the fourth hitting set solve of this graph branches.
     # Starting that solve only once the deadline has passed stands in for
